@@ -40,26 +40,11 @@
 
 namespace aad::harness {
 
-/// Host threads for harness fleets: the AAD_INVARIANT_THREADS environment
-/// variable (the TSan job and the nightly sweep set it to exercise the
-/// sharded parallel engine) or `fallback` (1 = classic engine).
-inline unsigned invariant_thread_count(unsigned fallback = 1) {
-  if (const char* env = std::getenv("AAD_INVARIANT_THREADS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<unsigned>(n);
-  }
-  return fallback;
-}
-
 struct HarnessConfig {
   std::uint64_t seed = 1;
 
   // Fleet shape.
   unsigned cards = 4;
-  /// Simulation engine threads (FleetConfig::threads).  Defaults to the
-  /// AAD_INVARIANT_THREADS environment override so the existing sweeps
-  /// re-run unchanged against the parallel engine; 1 = classic engine.
-  unsigned threads = invariant_thread_count();
   core::DispatchPolicy dispatch = core::DispatchPolicy::kResidencyAffinity;
   core::DevicePolicy device = core::DevicePolicy::kFifo;
   core::BatchConfig batch;  ///< kNone default: batches of one
@@ -90,10 +75,9 @@ struct HarnessConfig {
 };
 
 /// FNV-1a fingerprint of a drained fleet's outcome: headline stats plus
-/// every completed record's identity and timeline, per card.  Shared by
-/// InvariantHarness::digest() (invariant 5) and bench_parallel's digest
-/// column, and THE equality tests/test_parallel.cpp holds across thread
-/// counts: digest(threads=N) == digest(threads=1) for open-loop traces.
+/// every completed record's identity and timeline, per card.  Backs
+/// InvariantHarness::digest() (invariant 5), which test_faults compares
+/// across same-seed runs.
 inline std::uint64_t fleet_digest(const core::CoprocessorFleet& fleet,
                                   std::uint64_t h = 1469598103934665603ull) {
   const auto mix = [&h](std::uint64_t v) {
@@ -216,7 +200,6 @@ class InvariantHarness {
     fc.faults = plan;
     fc.retry.timeout = config.timeout;
     fc.retry.max_retries = config.max_retries;
-    fc.threads = config.threads;
     fc.server.prefetch.enabled = config.prefetch;
     fc.server.prefetch.predictor.min_confidence = config.prefetch_confidence;
     return fc;
@@ -251,8 +234,6 @@ class InvariantHarness {
       violations.push_back("conservation: fleet still has " +
                            std::to_string(fleet_.in_flight()) +
                            " requests in flight after the drain");
-    // sim_idle/sim_pending span the coordination queue AND every card
-    // shard under the parallel engine (== scheduler() in classic mode).
     if (!fleet_.sim_idle())
       violations.push_back("conservation: scheduler still holds " +
                            std::to_string(fleet_.sim_pending()) +

@@ -38,15 +38,19 @@ Bytes request_input(workload::FunctionId fn, std::size_t blocks,
 harness::HarnessConfig sweep_config(std::uint64_t seed, unsigned slot) {
   harness::HarnessConfig hc;
   hc.seed = seed;
-  // Rotate through >= 3 dispatch policies x 2 batch modes; fold the device
+  // Rotate through 3 dispatch policies x 3 batch modes; fold the device
   // scheduler, delta reconfiguration, corruption, and the watchdog in as
   // extra axes so 5 PR seeds already cross most of the space and 50
-  // nightly seeds cover it many times over.
+  // nightly seeds cover it many times over.  The batch index shifts by one
+  // every 3 slots, so 9 consecutive slots visit all 9 dispatch x batch
+  // pairs and slots 0-4 already include windowed batching under deaths.
   static const DispatchPolicy kDispatch[] = {DispatchPolicy::kRoundRobin,
                                              DispatchPolicy::kLeastQueued,
                                              DispatchPolicy::kResidencyAffinity};
+  static const BatchMode kBatch[] = {BatchMode::kNone, BatchMode::kGreedy,
+                                     BatchMode::kWindowed};
   hc.dispatch = kDispatch[slot % 3];
-  hc.batch.mode = (slot % 6) < 3 ? BatchMode::kNone : BatchMode::kGreedy;
+  hc.batch.mode = kBatch[(slot + slot / 3) % 3];
   hc.device = (slot % 2) ? DevicePolicy::kResidentFirst : DevicePolicy::kFifo;
   hc.delta_reconfig = (slot % 2) == 1;
   hc.timeout = (slot % 3 == 0) ? sim::SimTime::us(800) : sim::SimTime::zero();
