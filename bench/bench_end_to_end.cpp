@@ -44,23 +44,23 @@ void per_kernel_table() {
 
 void stage_breakdown() {
   std::puts("\n=== F1b: where a cold AES-128 invocation spends its time ===");
-  core::CoprocessorConfig config;
-  config.trace_enabled = true;
-  core::AgileCoprocessor cp(config);
+  core::AgileCoprocessor cp;
   cp.download(KernelId::kAes128);
-  cp.trace().clear();
+  cp.registry().reset();  // attribute the invocation, not the download
   const auto& spec = algorithms::spec(KernelId::kAes128);
   const Bytes input = spec.make_input(16, 3);
   const auto cold = cp.invoke(KernelId::kAes128, input);
-  const auto totals = cp.trace().stage_totals();
   const std::vector<int> widths = {14, 12, 10};
   bench::print_row({"stage", "time(us)", "share"}, widths);
   bench::print_rule(widths);
-  for (const auto& [stage, time] : totals) {
+  // The `stage.*` counters register in Figure 1 pipeline order.
+  const std::string_view prefix = "stage.";
+  for (const auto& metric : cp.registry().snapshot()) {
+    if (!metric.name.starts_with(prefix)) continue;
+    const double us = static_cast<double>(metric.value) * 1e-6;
     bench::print_row(
-        {to_string(stage), bench::fmt("%.1f", time.microseconds()),
-         bench::fmt("%.1f%%", 100.0 * time.microseconds() /
-                                  cold.latency.microseconds())},
+        {metric.name.substr(prefix.size()), bench::fmt("%.1f", us),
+         bench::fmt("%.1f%%", 100.0 * us / cold.latency.microseconds())},
         widths);
   }
   std::printf("end-to-end: %.1f us (stages overlap in the configuration "

@@ -68,7 +68,7 @@ void end_to_end_reconfig_by_codec() {
     fabric::Fabric scratch;
     const auto result = engine.configure(
         cp.mcu().rom(), record, targets, scratch, memory::RomTiming{},
-        nullptr, sim::SimTime::zero());
+        sim::SimTime::zero());
     bench::print_row(
         {to_string(record.codec),
          bench::fmt("%.1f", result.total.microseconds()),
@@ -136,7 +136,7 @@ void BM_StreamingConfigure12Frames(benchmark::State& state) {
   for (auto _ : state) {
     const auto result = engine.configure(
         cp.mcu().rom(), record, targets, scratch, memory::RomTiming{},
-        nullptr, sim::SimTime::zero());
+        sim::SimTime::zero());
     benchmark::DoNotOptimize(result.total);
   }
 }

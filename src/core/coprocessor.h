@@ -14,8 +14,8 @@
 //   // r.output    — the function result (bit-exact with software)
 //   // r.latency   — simulated end-to-end time, reconfiguration included
 //
-// Every method advances the embedded discrete-event clock; stats() and
-// trace() expose where the time went.
+// Every method advances the embedded discrete-event clock; stats() and the
+// `stage.*` counters in registry() expose where the time went.
 #pragma once
 
 #include <memory>
@@ -26,7 +26,6 @@
 #include "mcu/mcu.h"
 #include "pci/pci.h"
 #include "sim/scheduler.h"
-#include "sim/trace.h"
 #include "telemetry/registry.h"
 
 namespace aad::core {
@@ -35,7 +34,6 @@ struct CoprocessorConfig {
   fabric::Fabric::Config fabric;
   mcu::McuConfig mcu;
   pci::PciTiming pci;
-  bool trace_enabled = false;  ///< span tracing costs memory on long runs
 };
 
 struct InvokeOutcome {
@@ -110,10 +108,11 @@ class AgileCoprocessor {
   CoprocessorStats stats() const;
   sim::SimTime now() const noexcept { return scheduler_.now(); }
   sim::Scheduler& scheduler() noexcept { return scheduler_; }
-  const sim::Trace& trace() const noexcept { return trace_; }
-  sim::Trace& trace() noexcept { return trace_; }
   /// This card's perf-counter registry: every `mcu.*` / `server.*` counter
-  /// the card's subsystems registered, enumerable via snapshot().
+  /// the card's subsystems registered, enumerable via snapshot(), plus the
+  /// `stage.*` simulated-time totals per Figure 1 pipeline stage
+  /// (picoseconds, in pipeline order: host-pci, rom, decompress, configure,
+  /// data-in, execute, data-out, firmware).
   telemetry::Registry& registry() noexcept { return registry_; }
   const telemetry::Registry& registry() const noexcept { return registry_; }
   const fabric::Fabric& fabric() const noexcept { return fabric_; }
@@ -128,8 +127,8 @@ class AgileCoprocessor {
 
   std::unique_ptr<sim::Scheduler> owned_scheduler_;  ///< null when shared
   sim::Scheduler& scheduler_;
-  sim::Trace trace_;
   telemetry::Registry registry_;  ///< before mcu_: subsystems register here
+  telemetry::Counter& host_pci_;  ///< stage.host-pci, registered first
   fabric::Fabric fabric_;
   pci::PciBus bus_;
   mcu::RuntimeRegistry runtime_;

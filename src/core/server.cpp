@@ -69,7 +69,8 @@ CoprocessorServer::CoprocessorServer(AgileCoprocessor& card,
                 card.registry().counter("server.prefetch_hits"),
                 card.registry().counter("server.prefetch_wasted"),
                 card.registry().counter("server.prefetch_hidden_ps"),
-                card.registry().gauge("server.device_queue_depth")},
+                card.registry().gauge("server.device_queue_depth"),
+                card.registry().counter("stage.host-pci")},
       predictor_(config.prefetch.predictor) {}
 
 void CoprocessorServer::attach_trace(telemetry::TraceSink& sink,
@@ -236,8 +237,7 @@ void CoprocessorServer::begin_pci_in(std::uint64_t id) {
   p.request.pci_in_start = grant.start;
   p.request.pci_in_time = duration;
   p.request.bus_wait += grant.queue_delay;
-  card_.trace().record(sim::Stage::kHostPci, "server/in", grant.start,
-                       grant.end);
+  counters_.host_pci.add_time(duration);
   if (pci_track_ != nullptr)
     pci_track_->span("pci", "pci-in", grant.start, grant.end, id,
                      p.request.client, p.request.function);
@@ -479,7 +479,7 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
   p.request.engine_wait = engine_start - p.request.device_ready;
   p.request.device_start = engine_start;
 
-  p.request.decode_time = mcu.decode_invoke(engine_start);
+  p.request.decode_time = mcu.decode_invoke();
   const sim::SimTime load_start = engine_start + p.request.decode_time;
   sim::SimTime load_elapsed;
   {
@@ -635,8 +635,7 @@ void CoprocessorServer::begin_pci_out(std::uint64_t id) {
   p.request.pci_out_start = grant.start;
   p.request.pci_out_time = duration;
   p.request.bus_wait += grant.queue_delay;
-  card_.trace().record(sim::Stage::kHostPci, "server/out", grant.start,
-                       grant.end);
+  counters_.host_pci.add_time(duration);
   if (pci_track_ != nullptr)
     pci_track_->span("pci", "pci-out", grant.start, grant.end, id,
                      p.request.client, p.request.function);

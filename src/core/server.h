@@ -477,6 +477,7 @@ class CoprocessorServer {
     telemetry::Counter& prefetch_wasted;
     telemetry::Counter& hidden_prefetch;     ///< picoseconds
     telemetry::Gauge& queue_depth;  ///< device queue level + high water
+    telemetry::Counter& host_pci;   ///< the card's stage.host-pci total
   };
   Counters counters_;
 

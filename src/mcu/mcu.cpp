@@ -13,12 +13,11 @@ constexpr double kAutoCodecSlack = 0.05;
 
 }  // namespace
 
-Mcu::Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler, sim::Trace& trace,
+Mcu::Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler,
          telemetry::Registry& registry, const RuntimeRegistry& runtime,
          const McuConfig& config)
     : fabric_(fabric),
       scheduler_(scheduler),
-      trace_(trace),
       runtime_(runtime),
       config_(config),
       rom_(config.rom_capacity),
@@ -37,7 +36,14 @@ Mcu::Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler, sim::Trace& trace,
                 registry.counter("mcu.defragmentations"),
                 registry.counter("mcu.compressed_bytes_streamed"),
                 registry.counter("mcu.crc_rejects"),
-                registry.counter("mcu.refetches")} {}
+                registry.counter("mcu.refetches"),
+                registry.counter("stage.rom"),
+                registry.counter("stage.decompress"),
+                registry.counter("stage.configure"),
+                registry.counter("stage.data-in"),
+                registry.counter("stage.execute"),
+                registry.counter("stage.data-out"),
+                registry.counter("stage.firmware")} {}
 
 McuStats Mcu::stats() const {
   McuStats s;
@@ -57,10 +63,20 @@ McuStats Mcu::stats() const {
   return s;
 }
 
-sim::SimTime Mcu::firmware_cost(unsigned cycles, sim::SimTime start) {
+sim::SimTime Mcu::firmware_cost(unsigned cycles) {
   const sim::SimTime t = config_.mcu_clock.cycles(cycles);
-  trace_.record(sim::Stage::kFirmware, "firmware", start, start + t);
+  counters_.stage_firmware.add_time(t);
   return t;
+}
+
+void Mcu::count_configure(const ConfigureResult& cfg) {
+  counters_.frames_configured.add(cfg.frames_written);
+  counters_.frames_skipped.add(cfg.frames_skipped);
+  counters_.frames_skipped_delta.add(cfg.frames_skipped_delta);
+  counters_.bytes_streamed.add(cfg.bytes_streamed);
+  counters_.stage_rom.add_time(cfg.rom_bound);
+  counters_.stage_decompress.add_time(cfg.decompress_bound);
+  counters_.stage_configure.add_time(cfg.config_bound);
 }
 
 memory::RomRecord Mcu::store_function(memory::FunctionId id,
@@ -141,11 +157,10 @@ memory::RomRecord Mcu::store_function(memory::FunctionId id,
 
   const memory::RomRecord stored = rom_.store(record, compressed);
 
-  const sim::SimTime begin = scheduler_.now();
-  scheduler_.advance(config_.rom_timing.write_time(compressed.size() +
-                                                   memory::kRecordBytes));
-  trace_.record(sim::Stage::kRom, bs.info.name + "/program", begin,
-                scheduler_.now());
+  const sim::SimTime program =
+      config_.rom_timing.write_time(compressed.size() + memory::kRecordBytes);
+  scheduler_.advance(program);
+  counters_.stage_rom.add_time(program);
 
   // Host-driver recovery metadata: the decoded-image CRC every load is
   // verified against, and the pristine stream the re-fetch path restores
@@ -236,7 +251,7 @@ bool Mcu::prefetch_feasible(memory::FunctionId id, sim::SimTime now,
   return placement_possible(record->frames, config_.allocation, blocked);
 }
 
-sim::SimTime Mcu::evict_cost(memory::FunctionId id, sim::SimTime start) {
+sim::SimTime Mcu::evict_cost(memory::FunctionId id) {
   const auto it = loaded_.find(id);
   AAD_CHECK(it != loaded_.end(), "evicting a non-resident function");
   free_list_.release(it->second.frames);
@@ -245,13 +260,13 @@ sim::SimTime Mcu::evict_cost(memory::FunctionId id, sim::SimTime start) {
   loaded_.erase(it);
   speculative_.erase(id);
   counters_.evictions.add();
-  return firmware_cost(config_.eviction_overhead_cycles, start);
+  return firmware_cost(config_.eviction_overhead_cycles);
 }
 
 void Mcu::evict(memory::FunctionId id) {
   AAD_REQUIRE(loaded_.contains(id), "function not resident");
   AAD_REQUIRE(!pinned_.contains(id), "evicting a pinned function");
-  scheduler_.advance(evict_cost(id, scheduler_.now()));
+  scheduler_.advance(evict_cost(id));
 }
 
 DefragResult Mcu::defragment() {
@@ -292,12 +307,9 @@ DefragResult Mcu::defragment_at(sim::SimTime start) {
     free_list_.claim(target);
     const ConfigureResult cfg =
         engine_.configure(rom_, fn.record, target, fabric_, config_.rom_timing,
-                          &trace_, t, raw_crc_of(id));
+                          t, raw_crc_of(id));
     t += cfg.total;
-    counters_.frames_configured.add(cfg.frames_written);
-    counters_.frames_skipped.add(cfg.frames_skipped);
-    counters_.frames_skipped_delta.add(cfg.frames_skipped_delta);
-    counters_.bytes_streamed.add(cfg.bytes_streamed);
+    count_configure(cfg);
 
     fn.frames = target;
     fn.network.reset();
@@ -305,7 +317,7 @@ DefragResult Mcu::defragment_at(sim::SimTime start) {
     table_.at(id).frames = target;
     ++result.functions_moved;
     result.frames_reconfigured += cfg.frames_written;
-    t += firmware_cost(config_.eviction_overhead_cycles, t);
+    t += firmware_cost(config_.eviction_overhead_cycles);
     next += fn.record.frames;
   }
   result.time = t - start;
@@ -432,13 +444,13 @@ LoadEstimate Mcu::estimate_load(memory::FunctionId id) const {
 
 LoadResult Mcu::ensure_loaded(memory::FunctionId id) {
   sim::SimTime elapsed;
-  const LoadResult result = load_at(id, scheduler_.now(), &elapsed);
+  const LoadResult result = load_invoke(id, scheduler_.now(), &elapsed);
   scheduler_.advance(elapsed);
   return result;
 }
 
-LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
-                        sim::SimTime* elapsed) {
+LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
+                            sim::SimTime* elapsed) {
   LoadResult result;
   sim::SimTime t = start;
   *elapsed = sim::SimTime::zero();
@@ -469,7 +481,7 @@ LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
   std::optional<std::vector<fabric::FrameIndex>> frames;
   if (config_.engine.delta_reconfig) {
     if (auto plan = plan_placement(*record); plan && plan->upgrade_victim) {
-      t += evict_cost(*plan->upgrade_victim, t);
+      t += evict_cost(*plan->upgrade_victim);
       ++result.evictions;
       free_list_.claim(plan->frames);
       frames = std::move(plan->frames);
@@ -520,7 +532,7 @@ LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
       }
     }
     if (!stole_speculative) victim = policy_->choose_victim(resident, table_);
-    t += evict_cost(victim, t);
+    t += evict_cost(victim);
     ++result.evictions;
   }
 
@@ -533,7 +545,7 @@ LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
   for (unsigned attempt = 0;; ++attempt) {
     try {
       cfg = engine_.configure(rom_, *record, *frames, fabric_,
-                              config_.rom_timing, &trace_, t, raw_crc_of(id));
+                              config_.rom_timing, t, raw_crc_of(id));
       break;
     } catch (const Error& error) {
       if (error.code() != ErrorCode::kCorruptData) {
@@ -551,15 +563,12 @@ LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
       counters_.refetches.add();
       const sim::SimTime d =
           config_.rom_timing.write_time(pristine->second.size());
-      trace_.record(sim::Stage::kRom, record->name + "/refetch", t, t + d);
+      counters_.stage_rom.add_time(d);
       t += d;
     }
   }
   t += cfg.total;
-  counters_.frames_configured.add(cfg.frames_written);
-  counters_.frames_skipped.add(cfg.frames_skipped);
-  counters_.frames_skipped_delta.add(cfg.frames_skipped_delta);
-  counters_.bytes_streamed.add(cfg.bytes_streamed);
+  count_configure(cfg);
 
   LoadedFunction fn;
   fn.record = *record;
@@ -576,7 +585,7 @@ LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
   policy_->on_load(id, t);
   policy_->on_access(id, t);
 
-  t += firmware_cost(config_.command_overhead_cycles, t);
+  t += firmware_cost(config_.command_overhead_cycles);
   result.frames_configured = static_cast<unsigned>(cfg.frames_written);
   result.reconfig_time = t - begin;
   *elapsed = t - start;
@@ -593,19 +602,14 @@ netlist::LutExecutor& Mcu::executor_for(LoadedFunction& fn) {
   return *fn.executor;
 }
 
-sim::SimTime Mcu::decode_invoke(sim::SimTime start) {
+sim::SimTime Mcu::decode_invoke() {
   counters_.invocations.add();
-  return firmware_cost(config_.command_overhead_cycles, start);
-}
-
-LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
-                            sim::SimTime* elapsed) {
-  return load_at(id, start, elapsed);
+  return firmware_cost(config_.command_overhead_cycles);
 }
 
 PreparedInvoke Mcu::prepare_invoke(memory::FunctionId id, sim::SimTime start) {
   PreparedInvoke prep;
-  prep.firmware_time = decode_invoke(start);
+  prep.firmware_time = decode_invoke();
   sim::SimTime load_elapsed;
   prep.load = load_invoke(id, start + prep.firmware_time, &load_elapsed);
   prep.time = prep.firmware_time + load_elapsed;
@@ -628,7 +632,7 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input,
   {
     // The data-input module streams from RAM to the fabric as it reads.
     const sim::SimTime d = config_.ram_timing.access_time(input.size());
-    trace_.record(sim::Stage::kDataIn, fn.record.name + "/in", t, t + d);
+    counters_.stage_data_in.add_time(d);
     t += d;
     run.io_time += d;
   }
@@ -651,7 +655,7 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input,
   }
   {
     const sim::SimTime d = fabric_.execution_time(hw.cycles);
-    trace_.record(sim::Stage::kExecute, fn.record.name + "/exec", t, t + d);
+    counters_.stage_execute.add_time(d);
     t += d;
     run.exec_time = d;
   }
@@ -662,7 +666,7 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input,
   ram_.write(out_off, hw.output);
   {
     const sim::SimTime d = config_.ram_timing.access_time(hw.output.size());
-    trace_.record(sim::Stage::kDataOut, fn.record.name + "/out", t, t + d);
+    counters_.stage_data_out.add_time(d);
     t += d;
     run.io_time += d;
   }

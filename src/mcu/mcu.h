@@ -28,7 +28,6 @@
 #include "memory/ram.h"
 #include "memory/rom.h"
 #include "sim/scheduler.h"
-#include "sim/trace.h"
 #include "telemetry/registry.h"
 
 namespace aad::mcu {
@@ -143,9 +142,10 @@ struct DefragResult {
 class Mcu {
  public:
   /// `registry` is the card's counter registry; the MCU registers its
-  /// `mcu.*` counters there at construction and bumps the handles on the
-  /// hot path.  Must outlive the Mcu.
-  Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler, sim::Trace& trace,
+  /// `mcu.*` counters and the device-side `stage.*` sim-time totals there
+  /// at construction and bumps the handles on the hot path.  Must outlive
+  /// the Mcu.
+  Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler,
       telemetry::Registry& registry, const RuntimeRegistry& runtime,
       const McuConfig& config = {});
 
@@ -178,17 +178,16 @@ class Mcu {
   // request A's reconfiguration).  These methods mutate device state
   // immediately — the caller has already reserved the device for a window
   // beginning at `start` — but return simulated durations instead of
-  // advancing the scheduler; trace spans are stamped at `start`-relative
-  // virtual times.  Calls for the same request must be issued in service
-  // order; the configuration-engine stages (decode_invoke + load_invoke)
-  // and the fabric stage (execute_invoke) are separable, so the server may
-  // stream request B's configuration while request A still owns the fabric
-  // — provided every function with an outstanding fabric window is pinned
-  // (see pin()) so B's load cannot evict or overwrite its frames.
+  // advancing the scheduler.  Calls for the same request must be issued in
+  // service order; the configuration-engine stages (decode_invoke +
+  // load_invoke) and the fabric stage (execute_invoke) are separable, so the
+  // server may stream request B's configuration while request A still owns
+  // the fabric — provided every function with an outstanding fabric window
+  // is pinned (see pin()) so B's load cannot evict or overwrite its frames.
 
-  /// Firmware command decode as of `start` — the fixed per-command cost the
+  /// Firmware command decode — the fixed per-command cost the
   /// microcontroller pays before the on-demand load.  Counts the invocation.
-  sim::SimTime decode_invoke(sim::SimTime start);
+  sim::SimTime decode_invoke();
 
   /// The on-demand load (§2.5) as of `start`: hit check, allocation,
   /// eviction loop (pinned functions are never chosen as victims), streaming
@@ -334,7 +333,7 @@ class Mcu {
   /// the free list would hand out, or an in-place upgrade — evict one
   /// same-footprint resident whose frames mostly already match and reuse
   /// its exact frame set.  nullopt when only the eviction loop can place
-  /// the function.  Shared by load_at and estimate_load so the estimator
+  /// the function.  Shared by load_invoke and estimate_load so the estimator
   /// predicts what the loader then does.
   struct DeltaPlan {
     std::vector<fabric::FrameIndex> frames;
@@ -349,19 +348,17 @@ class Mcu {
                                     unsigned* count) const;
 
   // Duration-returning primitives shared by the synchronous shims and the
-  // staged path: mutate state, stamp trace spans at virtual times, never
-  // touch the scheduler.
-  sim::SimTime firmware_cost(unsigned cycles, sim::SimTime start);
-  sim::SimTime evict_cost(memory::FunctionId id, sim::SimTime start);
-  LoadResult load_at(memory::FunctionId id, sim::SimTime start,
-                     sim::SimTime* elapsed);
+  // staged path: mutate state, never touch the scheduler.
+  sim::SimTime firmware_cost(unsigned cycles);
+  sim::SimTime evict_cost(memory::FunctionId id);
+  /// Credit one configuration-engine pass to the frame and stage counters.
+  void count_configure(const ConfigureResult& cfg);
   DefragResult defragment_at(sim::SimTime start);
 
   netlist::LutExecutor& executor_for(LoadedFunction& fn);
 
   fabric::Fabric& fabric_;
   sim::Scheduler& scheduler_;
-  sim::Trace& trace_;
   const RuntimeRegistry& runtime_;
   McuConfig config_;
 
@@ -394,7 +391,8 @@ class Mcu {
   }
 
   // Registry handles — the `mcu.*` counter block, registered once at
-  // construction; stats() snapshots them back into McuStats.
+  // construction; stats() snapshots them back into McuStats.  The `stage.*`
+  // handles total simulated time per Figure 1 pipeline stage (picoseconds).
   struct Counters {
     telemetry::Counter& invocations;
     telemetry::Counter& config_hits;
@@ -408,6 +406,13 @@ class Mcu {
     telemetry::Counter& bytes_streamed;
     telemetry::Counter& crc_rejects;
     telemetry::Counter& refetches;
+    telemetry::Counter& stage_rom;
+    telemetry::Counter& stage_decompress;
+    telemetry::Counter& stage_configure;
+    telemetry::Counter& stage_data_in;
+    telemetry::Counter& stage_execute;
+    telemetry::Counter& stage_data_out;
+    telemetry::Counter& stage_firmware;
   };
   Counters counters_;
   /// Codec picks keep their map shape (keyed by enum, not a flat name).

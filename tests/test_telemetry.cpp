@@ -266,6 +266,7 @@ TEST(ServerTraceTest, OverlapRunEmitsNestedLifecycleSpans) {
 
   core::AgileCoprocessor card;
   card.download_all();
+  card.registry().reset();  // the stage.* totals below cover the run only
   core::CoprocessorServer server(card);  // overlapped reconfiguration on
   telemetry::TraceSink sink;
   server.attach_trace(sink, "card 0", 0);
@@ -316,6 +317,25 @@ TEST(ServerTraceTest, OverlapRunEmitsNestedLifecycleSpans) {
     ASSERT_TRUE(pci_in_end.contains(request));
     EXPECT_LE(pci_in_end[request], begin);
   }
+
+  // The lanes and the card's stage.* counters are two views of one run and
+  // must agree to the picosecond: the pci lane is the host-pci stage, and
+  // each fabric window is data-in + execute + data-out.
+  const auto busy_ps = [](const std::vector<TraceEvent>& spans) {
+    std::uint64_t ps = 0;
+    for (const TraceEvent& e : spans)
+      ps += static_cast<std::uint64_t>(e.dur_ps);
+    return ps;
+  };
+  const auto stage = [&card](const char* name) {
+    const telemetry::Counter* counter = card.registry().find_counter(name);
+    EXPECT_NE(counter, nullptr) << name;
+    return counter != nullptr ? counter->value() : 0u;
+  };
+  EXPECT_GT(busy_ps(pci), 0u);
+  EXPECT_EQ(busy_ps(pci), stage("stage.host-pci"));
+  EXPECT_EQ(busy_ps(fabric), stage("stage.data-in") + stage("stage.execute") +
+                                 stage("stage.data-out"));
 }
 
 TEST(ServerTraceTest, WindowedBatchingEmitsHoldSpans) {
