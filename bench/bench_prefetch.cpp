@@ -6,10 +6,9 @@
 // server trains a per-client first-order Markov predictor on its completed
 // requests and speculatively loads the predicted next configuration into
 // FREE frames only (a speculative load never evicts a demand resident, and
-// a demand miss steals the frames back instantly).  The fleet layers two
-// more pieces on top: a routing tier that sends a request to the card that
-// prefetched it, and cross-card prefetch — when the card a demand went to
-// cannot hold the predicted next function, a cold sibling warms it instead.
+// a demand miss steals the frames back instantly).  The fleet adds one
+// piece on top: a routing tier that sends a request to the card that
+// prefetched it.
 //
 //   P1 — predictor off/on per workload (bursty / incremental / phased) on a
 //        2-card affinity fleet: hit rate, throughput, p99 and the prefetch
@@ -18,9 +17,8 @@
 //        windows defeat pure residency affinity (each phase introduces
 //        functions no card has seen) but follow a perfect first-order
 //        cycle the predictor locks onto.
-//   P2 — card-count sweep on the phased workload: the cross-card path only
-//        exists at >= 2 cards, and the prefetched routing tier's share
-//        grows with the fleet.
+//   P2 — card-count sweep on the phased workload: how the hit-rate gain
+//        and the prefetched routing tier's share move with fleet size.
 //
 // Flags (bench_util.h parser): `--json <path>` captures the metrics;
 // `--clients N` (default 6) and `--requests N` (default 24, per phase /
@@ -207,14 +205,11 @@ void workload_sweep(const bench::PrefetchFlags& pf) {
 void card_sweep(const bench::PrefetchFlags& pf) {
   if (!pf.enabled) return;
   std::puts("\n=== P2: card-count sweep, phased workload ===");
-  std::puts("(cross-card prefetch needs a sibling: when the card a demand "
-            "went to cannot place the predicted next function in free "
-            "frames, a cold sibling warms it and the prefetched routing "
-            "tier steers the demand there)");
-  const std::vector<int> widths = {7, 10, 9, 9, 11, 8};
-  bench::print_row(
-      {"cards", "hit%-off", "hit%-on", "req/s-on", "pf-routed", "cross"},
-      widths);
+  std::puts("(each card prefetches from its own predictor; the prefetched "
+            "routing tier steers a demand to the card that warmed it)");
+  const std::vector<int> widths = {7, 10, 9, 9, 11};
+  bench::print_row({"cards", "hit%-off", "hit%-on", "req/s-on", "pf-routed"},
+                   widths);
   bench::print_rule(widths);
 
   const auto trace = phased_trace(29);
@@ -225,13 +220,11 @@ void card_sweep(const bench::PrefetchFlags& pf) {
                       bench::fmt("%.1f", 100.0 * off.hit_rate),
                       bench::fmt("%.1f", 100.0 * on.hit_rate),
                       bench::fmt("%.0f", on.throughput_rps),
-                      bench::fmt_u(on.prefetch_routed),
-                      bench::fmt_u(on.prefetch_cross)},
+                      bench::fmt_u(on.prefetch_routed)},
                      widths);
     const std::string suffix = "_cards" + std::to_string(cards);
     bench::json().set("prefetch_phased_hit_off" + suffix, off.hit_rate);
     bench::json().set("prefetch_phased_hit_on" + suffix, on.hit_rate);
-    bench::json().set("prefetch_phased_cross" + suffix, on.prefetch_cross);
   }
 }
 

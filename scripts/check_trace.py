@@ -24,7 +24,8 @@ Checks:
     (ts, pid, tid, seq) merge order);
   * spans carry the args their category promises: pci/engine/fabric spans
     name their request/client/function, prefetch and batch spans their
-    function, dispatch instants their client/function/card;
+    function, dispatch instants their fleet ticket (request) and
+    client/function/card;
   * hardware lanes are serialized: on tracks named pci, engine or fabric
     the spans must not overlap, because each mirrors a resource the
     simulator books exclusively.  Logical lanes (batch holds, fleet
@@ -52,7 +53,7 @@ REQUIRED_ARGS = {
     "fabric": ("request", "client", "function"),
     "prefetch": ("function",),
     "batch": ("function",),
-    "dispatch": ("client", "function", "card"),
+    "dispatch": ("request", "client", "function", "card"),
 }
 
 

@@ -26,22 +26,12 @@ CoprocessorFleet::CoprocessorFleet(const FleetConfig& config)
                 registry_.counter("fleet.affinity_routed"),
                 registry_.counter("fleet.delta_routed"),
                 registry_.counter("fleet.affinity_fallback"),
-                registry_.counter("fleet.prefetch_cross"),
                 registry_.counter("fleet.deaths"),
                 registry_.counter("fleet.redispatched"),
                 registry_.counter("fleet.retries"),
                 registry_.counter("fleet.timeouts"),
                 registry_.counter("fleet.failed")} {
   AAD_REQUIRE(config.cards >= 1, "a fleet needs at least one card");
-  // Ticket tracking costs a map entry and a wrapped completion per request;
-  // the fault-free configuration keeps the original zero-overhead path.
-  fault_mode_ =
-      !faults_.empty() || retry_.timeout > sim::SimTime::zero();
-  // The fleet's own predictor sees the UNSPLIT arrival stream at dispatch
-  // time; the per-card predictors only see what routing sends them.  Both
-  // are inert (and cost nothing) unless the server config enables prefetch.
-  prefetch_enabled_ = config.server.prefetch.enabled;
-  predictor_ = FunctionPredictor(config.server.prefetch.predictor);
   shards_.reserve(config.cards);
   for (unsigned i = 0; i < config.cards; ++i) {
     Shard shard;
@@ -98,46 +88,29 @@ std::uint64_t CoprocessorFleet::submit_function_at(sim::SimTime when,
                                                    Bytes input,
                                                    Completion done) {
   AAD_REQUIRE(when >= now(), "cannot submit a request in the past");
+  // Fault plans are armed on the FIRST submission, so the plan's times are
+  // relative to when traffic starts, not to how long provisioning took
+  // (which varies with the function set).
+  arm_faults();
   const std::uint64_t ticket = next_ticket_++;
   ++undispatched_;
-  if (fault_mode_) {
-    // Fault plans are armed on the FIRST submission, so the plan's times
-    // are relative to when traffic starts, not to how long provisioning
-    // took (which varies with the function set).
-    arm_faults();
-    TicketState state;
-    state.client = client;
-    state.function = function;
-    state.input = std::move(input);
-    state.done = std::move(done);
-    state.submit_time = when;
-    tickets_.emplace(ticket, std::move(state));
-    scheduler_.schedule_at(when, [this, ticket] { dispatch_ticket(ticket); });
-    return ticket;
-  }
   // The card is chosen when the request ARRIVES, not now: pre-scheduled
   // open-loop arrivals and closed-loop resubmissions alike get routed
-  // against the queue depths and residency of their arrival instant.
+  // against the queue depths and residency of their arrival instant.  The
+  // ticket opens at arrival too, so a pre-scheduled trace holds its
+  // payloads in the event queue, not in tickets_.
   scheduler_.schedule_at(
-      when, [this, client, function, input = std::move(input),
+      when, [this, ticket, client, function, input = std::move(input),
              done = std::move(done)]() mutable {
-        dispatch(client, function, std::move(input), std::move(done));
+        TicketState& state = tickets_[ticket];
+        state.client = client;
+        state.function = function;
+        state.input = std::move(input);
+        state.done = std::move(done);
+        state.submit_time = now();
+        dispatch_ticket(ticket);
       });
   return ticket;
-}
-
-void CoprocessorFleet::dispatch(unsigned client, memory::FunctionId function,
-                                Bytes input, Completion done) {
-  --undispatched_;
-  const unsigned index = route(function);
-  Shard& shard = shards_[index];
-  ++shard.dispatched;
-  if (fleet_track_ != nullptr)
-    fleet_track_->instant("dispatch", "dispatch", now(), /*request=*/-1,
-                          client, function, index);
-  shard.server->submit_function_at(now(), client, function, std::move(input),
-                                   std::move(done));
-  if (prefetch_enabled_) maybe_cross_prefetch(client, function, index);
 }
 
 bool CoprocessorFleet::any_alive() const {
@@ -197,8 +170,6 @@ void CoprocessorFleet::dispatch_ticket(std::uint64_t ticket) {
   if (retry_.timeout > sim::SimTime::zero())
     state.timeout_event = scheduler_.schedule_at(
         now() + retry_.timeout, [this, ticket] { on_timeout(ticket); });
-  if (prefetch_enabled_)
-    maybe_cross_prefetch(state.client, state.function, card);
 }
 
 void CoprocessorFleet::on_card_complete(std::uint64_t ticket,
@@ -404,22 +375,20 @@ unsigned CoprocessorFleet::choose(memory::FunctionId function,
       // were loaded FOR this demand, and consuming the speculation here
       // both scores the guaranteed hit and frees the speculative marker
       // (an unconsumed marker leaves the frames first in line for
-      // stealing).  Inert unless prefetch is enabled.
-      if (prefetch_enabled_) {
-        for (unsigned i = 0; i < card_count(); ++i) {
-          if (!shards_[i].alive) continue;
-          if (!shards_[i].server->prefetch_resident(function)) continue;
-          if (!found ||
-              shards_[i].server->in_flight() <
-                  shards_[best].server->in_flight()) {
-            best = i;
-            found = true;
-          }
+      // stealing).  Inert unless prefetch is enabled: no card holds a
+      // speculation then.
+      for (unsigned i = 0; i < card_count(); ++i) {
+        if (!shards_[i].alive) continue;
+        if (!shards_[i].server->prefetch_resident(function)) continue;
+        if (!found ||
+            shards_[i].server->in_flight() < shards_[best].server->in_flight()) {
+          best = i;
+          found = true;
         }
-        if (found) {
-          prefetch_hit = true;
-          return best;
-        }
+      }
+      if (found) {
+        prefetch_hit = true;
+        return best;
       }
       // Otherwise, among the cards already holding the configuration — or
       // with an in-flight request about to load it (function_inbound) —
@@ -500,60 +469,6 @@ unsigned CoprocessorFleet::route(memory::FunctionId function) {
   return card;
 }
 
-bool CoprocessorFleet::prefetch_placeable(unsigned card,
-                                          memory::FunctionId function) const {
-  const mcu::Mcu& mcu = shards_[card].card->mcu();
-  const mcu::LoadEstimate est = mcu.estimate_load(function);
-  return est.known && !est.resident && est.evictions == 0;
-}
-
-void CoprocessorFleet::maybe_cross_prefetch(unsigned client,
-                                            memory::FunctionId function,
-                                            unsigned chosen) {
-  // Train on the routed stream, at the dispatch instant.
-  predictor_.observe(client, function);
-  if (card_count() < 2) return;  // nothing to hand the speculation to
-  const auto prediction = predictor_.predict(client);
-  if (!prediction) return;
-  const memory::FunctionId next = prediction->function;
-  if (next == function) return;
-  for (const Shard& shard : shards_) {
-    if (!shard.alive) continue;
-    if (shard.card->mcu().is_resident(next) ||
-        shard.server->function_inbound(next) ||
-        shard.server->prefetch_resident(next))
-      return;  // already warm, or warming, somewhere
-  }
-  // Placement ladder.  The prefetched routing tier sends the eventual
-  // demand to WHICHEVER card warmed the function, so placement is free to
-  // chase the cheapest home: the demand's own card when it has free frames
-  // (locality — the client's next request heads there anyway), else a
-  // sibling with free frames (the cross-card path: a cold card warms what
-  // the hot card cannot hold), else the demand's card again and its pump
-  // may evict idle residents.
-  unsigned target = chosen;
-  if (!shards_[chosen].alive || !prefetch_placeable(chosen, next)) {
-    bool found = false;
-    unsigned best = 0;
-    for (unsigned i = 0; i < card_count(); ++i) {
-      if (i == chosen || !shards_[i].alive) continue;
-      if (!prefetch_placeable(i, next)) continue;
-      if (!found ||
-          shards_[i].server->in_flight() < shards_[best].server->in_flight()) {
-        best = i;
-        found = true;
-      }
-    }
-    if (found) {
-      counters_.prefetch_cross.add();
-      target = best;
-    } else if (!shards_[chosen].alive) {
-      return;
-    }
-  }
-  shards_[target].server->queue_prefetch_at(now(), next);
-}
-
 std::size_t CoprocessorFleet::run() { return scheduler_.run(); }
 
 std::size_t CoprocessorFleet::run_until(sim::SimTime deadline) {
@@ -590,7 +505,6 @@ FleetStats CoprocessorFleet::stats() const {
   stats.affinity_routed = counters_.affinity_routed.value();
   stats.delta_routed = counters_.delta_routed.value();
   stats.affinity_fallback = counters_.affinity_fallback.value();
-  stats.prefetch_cross = counters_.prefetch_cross.value();
   stats.deaths = counters_.deaths.value();
   stats.redispatched = counters_.redispatched.value();
   stats.retries = counters_.retries.value();

@@ -32,6 +32,10 @@
 // configuration (falling back to least-queued when no card does), trading
 // load balance for configuration locality.
 //
+// Arrival is also where the request's fleet ticket opens.  Every request
+// takes the same ticketed path: the ticket follows it across cards (card
+// death, watchdog retry) until its one completion or failure.
+//
 // Typical use:
 //
 //   aad::core::FleetConfig fc;
@@ -78,8 +82,7 @@ const char* to_string(DispatchPolicy policy);
 /// — a committed request rides to completion instead) and redispatched
 /// after an exponentially growing backoff, up to `max_retries` extra
 /// attempts; exhaustion surfaces the request as failed (FailReason::
-/// kTimeout).  `timeout` zero disables the watchdog entirely — the fleet's
-/// dispatch path is then byte-identical to the fault-free build.
+/// kTimeout).  `timeout` zero disables the watchdog: no timer is scheduled.
 struct RetryConfig {
   sim::SimTime timeout;               ///< zero = watchdog disabled
   unsigned max_retries = 2;           ///< redispatches after the first try
@@ -188,10 +191,6 @@ struct FleetStats {
   std::uint64_t prefetch_hits = 0;
   std::uint64_t prefetch_wasted = 0;
   sim::SimTime hidden_reconfig_prefetch;
-  /// Cross-card prefetches handed to a cold sibling because the card the
-  /// client's demand was heading to could not place the predicted next
-  /// function in free frames.
-  std::uint64_t prefetch_cross = 0;
   std::vector<FleetCardStats> cards;    ///< per-card breakdown, by index
 };
 
@@ -315,10 +314,10 @@ class CoprocessorFleet {
     std::uint64_t deaths = 0;
     sim::SimTime death_time;  ///< last power-off (the dead-interval span)
   };
-  /// Fleet-edge bookkeeping for one in-flight ticket (fault mode only).
-  /// The payload lives HERE only while the ticket is between cards (pulled
-  /// back, awaiting redispatch); on a card, the server holds it and hands
-  /// it back through try_cancel/power_off.
+  /// Fleet-edge bookkeeping for one ticket, from its arrival to its single
+  /// completion or failure.  The payload lives HERE only while the ticket
+  /// is between cards (pulled back, awaiting redispatch); on a card, the
+  /// server holds it and hands it back through try_cancel/power_off.
   struct TicketState {
     unsigned client = 0;
     memory::FunctionId function = 0;
@@ -337,16 +336,6 @@ class CoprocessorFleet {
                   bool& affinity_hit, bool& delta_hit) const;
   /// preview_card + the state updates (cursor, affinity counters).
   unsigned route(memory::FunctionId function);
-  /// Can `card` take `function` into FREE frames right now?  (Speculative
-  /// loads never evict demand residents.)
-  bool prefetch_placeable(unsigned card, memory::FunctionId function) const;
-  /// Train the fleet predictor on the dispatch stream and, when the card
-  /// the demand went to cannot hold the predicted NEXT function, hand the
-  /// speculation to a cold sibling.  Runs at dispatch time.
-  void maybe_cross_prefetch(unsigned client, memory::FunctionId function,
-                            unsigned chosen);
-  void dispatch(unsigned client, memory::FunctionId function, Bytes input,
-                Completion done);
   bool any_alive() const;
   /// Schedule the fault plan's events, offset by now() (first submission).
   void arm_faults();
@@ -364,18 +353,13 @@ class CoprocessorFleet {
   std::uint64_t next_ticket_ = 0;
   std::uint64_t undispatched_ = 0;  ///< scheduled arrivals not yet routed
   std::uint64_t rr_cursor_ = 0;
-  // Speculative prefetch at the fleet edge.  The fleet keeps its OWN
-  // predictor trained on the arrival stream it routes (the per-card
-  // predictors only see requests after routing splits the stream).
-  bool prefetch_enabled_ = false;
-  FunctionPredictor predictor_;
-  // Fault machinery.  fault_mode_ gates the ticket-tracking dispatch path:
-  // off (empty plan, zero timeout), submissions flow exactly as before —
-  // the fault subsystem costs the fault-free build nothing.
-  bool fault_mode_ = false;
+  // Fault machinery: an empty plan arms nothing, a zero timeout schedules
+  // no watchdog timer.
   bool faults_armed_ = false;
   sim::FaultPlan faults_;
   RetryConfig retry_;
+  /// Arrived, unfinished requests only: a ticket opens at its arrival event
+  /// and closes at its completion or terminal failure.
   std::map<std::uint64_t, TicketState> tickets_;
 
   /// Fleet-level counter registry (the cards each own their own — see
@@ -388,7 +372,6 @@ class CoprocessorFleet {
     telemetry::Counter& affinity_routed;
     telemetry::Counter& delta_routed;
     telemetry::Counter& affinity_fallback;
-    telemetry::Counter& prefetch_cross;
     telemetry::Counter& deaths;
     telemetry::Counter& redispatched;
     telemetry::Counter& retries;

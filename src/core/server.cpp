@@ -659,8 +659,8 @@ void CoprocessorServer::complete(std::uint64_t id) {
     predictor_.observe(r.client, r.function);
     if (const auto p = predictor_.predict(r.client))
       queue_prefetch_at(now(), p->function);
-    // Candidates queued while demand was in flight (the fleet's
-    // dispatch-time predictions) wait for the card to drain; this
+    // Candidates queued while demand was in flight (earlier predictions,
+    // or queue_prefetch_at calls) wait for the card to drain; this
     // completion may have been the drain.
     if (!prefetch_queue_.empty())
       schedule_prefetch_pump(std::max(now(), device_available()));

@@ -313,10 +313,11 @@ class CoprocessorServer {
            card_.mcu().is_resident(function);
   }
   /// Ask this card to speculatively warm `function` at absolute time
-  /// `when` (>= now) — the fleet's cross-card prefetch path.  The request
-  /// joins the local candidate queue and obeys the same rules as local
-  /// predictions: idle engine only, free frames only, no pin held.  No-op
-  /// when prefetch is disabled.
+  /// `when` (>= now) — the entry the card's own predictor feeds at each
+  /// completion, also open to tests and callers that warm a card by hand.
+  /// The request joins the local candidate queue and obeys the pump's
+  /// rules: idle engine only, free frames only, no pin held.  No-op when
+  /// prefetch is disabled.
   void queue_prefetch_at(sim::SimTime when, memory::FunctionId function);
   /// Candidates + issued-but-unconsumed prefetches (tests/benches).
   std::size_t prefetch_outstanding() const noexcept {

@@ -322,6 +322,44 @@ TEST(FaultRecoveryTest, NoSurvivorFailsCleanly) {
   EXPECT_FALSE(fleet.card_alive(0));
 }
 
+// An imperative kill_card on a fleet built with no fault plan and no
+// watchdog still redispatches the dying card's requests to the survivor:
+// every fleet tracks its requests as tickets, so a refugee never fails
+// while another card is alive.
+TEST(FaultRecoveryTest, ImperativeKillRedispatchesWithoutFaultConfig) {
+  FleetConfig fc;
+  fc.cards = 2;
+  fc.policy = DispatchPolicy::kRoundRobin;  // 4 requests per card
+  ASSERT_TRUE(fc.faults.empty());
+  ASSERT_EQ(fc.retry.timeout, sim::SimTime::zero());
+  CoprocessorFleet fleet(fc);
+  fleet.download_all();
+  const memory::FunctionId aes =
+      algorithms::function_id(algorithms::KernelId::kAes128);
+
+  std::size_t ok = 0, failed = 0;
+  for (unsigned i = 0; i < 8; ++i)
+    fleet.submit_function(i, aes, algorithms::bank_input(aes, 2, i),
+                          [&ok, &failed](const ServerRequest& done) {
+                            done.failed ? ++failed : ++ok;
+                          });
+  // Run the arrivals only: all 8 are dispatched and none has finished.
+  fleet.run_until(fleet.now());
+  ASSERT_EQ(fleet.in_flight(), 8u);
+  ASSERT_EQ(fleet.server(0).in_flight(), 4u);
+  fleet.kill_card(0);
+  fleet.run();
+
+  EXPECT_EQ(ok, 8u);
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(fleet.in_flight(), 0u);
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.deaths, 1u);
+  EXPECT_EQ(stats.redispatched, 4u);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.completed, 8u);
+}
+
 // --- corrupted bitstreams ---------------------------------------------------
 
 // A corrupted ROM image is rejected by the CRC check before any frame is
@@ -490,9 +528,9 @@ std::uint64_t completed_digest(const CoprocessorFleet& fleet) {
   return h;
 }
 
-// Arming the watchdog with a timeout that never fires routes every request
-// through the ticket machinery — and must not move a single completion
-// time.  This is the in-test face of the PR's byte-identity guarantee.
+// Arming the watchdog with a timeout that never fires adds one timer per
+// dispatch (cancelled at completion) to the same ticketed path — and must
+// not move a single completion time.
 TEST(FaultModeTest, IdleWatchdogIsTimingNeutral) {
   const workload::MultiClientTrace trace = bursty_trace(21, 4, 2, 4);
   const auto run_fleet = [&trace](bool watchdog) {

@@ -435,13 +435,14 @@ TEST(FleetPrefetchTest, DisabledFleetCountersStayZero) {
   EXPECT_EQ(stats.prefetch_issued, 0u);
   EXPECT_EQ(stats.prefetch_hits, 0u);
   EXPECT_EQ(stats.prefetch_wasted, 0u);
-  EXPECT_EQ(stats.prefetch_cross, 0u);
   EXPECT_EQ(stats.hidden_reconfig_prefetch, sim::SimTime::zero());
 }
 
-// Cross-card warming: with the hot card's frames pinned full by a live
-// working set, the fleet predictor parks the predicted next function on
-// the cold sibling and the routing tier steers the demand there.
+// Phased working-set shifts on a 2-card fleet: each card's own predictor
+// learns the phase cycle from its completions and its idle-engine pump
+// warms the predicted next function.  The pump must fire, every issued
+// prefetch must close as a hit, a waste or still outstanding, and no
+// speculative load may leave a pin behind.
 TEST(FleetPrefetchTest, PhasedWorkloadPrefetchesAndHits) {
   workload::PhasedConfig pc;
   pc.clients = 4;

@@ -434,8 +434,10 @@ TEST(ServerTraceTest, PrefetchRunEmitsSpeculativeEngineSpans) {
   // Process 1 is the fleet (dispatch lane); process 2 is card 0's lanes.
   const auto dispatch = lane(merged, 0, /*process=*/1);
   EXPECT_EQ(dispatch.size(), stats.submitted);
+  std::int64_t ticket = 0;  // arrivals are in submission order here
   for (const TraceEvent& e : dispatch) {
     EXPECT_STREQ(e.name, "dispatch");
+    EXPECT_EQ(e.request, ticket++);  // the fleet ticket being routed
     EXPECT_EQ(e.card, 0);  // which card the decision picked
   }
 
