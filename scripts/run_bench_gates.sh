@@ -10,6 +10,8 @@
 #
 # All entries run even after a failure so one drifted baseline does not
 # hide another; the exit status is non-zero when any smoke or gate failed.
+# Each entry's wall time (smoke + gate) and the suite total are printed for
+# the record; they are host-dependent and never gate anything.
 #
 # Usage: run_bench_gates.sh [BUILD_DIR]   (default: <repo>/build)
 set -u
@@ -24,10 +26,13 @@ if [ ! -d "$build" ]; then
 fi
 
 failed=()
+timings=()
+suite_start=$(date +%s.%N)
 while IFS='|' read -r name smoke gate; do
   case "$name" in ''|\#*) continue ;; esac
   echo "::group::bench gate: $name"
   ok=1
+  start=$(date +%s.%N)
   if ! (cd "$build" && eval "$smoke"); then
     echo "run_bench_gates: FAIL($name): smoke run" >&2
     ok=0
@@ -35,9 +40,16 @@ while IFS='|' read -r name smoke gate; do
     echo "run_bench_gates: FAIL($name): gate" >&2
     ok=0
   fi
+  timings+=("$(awk -v a="$start" -v b="$(date +%s.%N)" -v n="$name" \
+                 'BEGIN { printf "%-10s %8.2f s", n, b - a }')")
   echo "::endgroup::"
   [ "$ok" -eq 1 ] || failed+=("$name")
 done < "$manifest"
+
+echo "run_bench_gates: wall time per entry (smoke + gate)"
+printf '  %s\n' "${timings[@]}"
+awk -v a="$suite_start" -v b="$(date +%s.%N)" \
+    'BEGIN { printf "  %-10s %8.2f s\n", "total", b - a }'
 
 if [ "${#failed[@]}" -gt 0 ]; then
   echo "run_bench_gates: ${#failed[@]} gate(s) failed: ${failed[*]}" >&2

@@ -2,9 +2,17 @@
 // kernel (RSA-style workloads — the algorithm-agile crypto co-processors the
 // paper builds on, refs [1][2], were motivated by exactly this).
 //
-// Little-endian 32-bit limbs; schoolbook multiplication and binary long
-// division — small and obviously correct rather than fast, since the golden
-// path only has to validate the hardware model.
+// Little-endian 32-bit limbs with 64-bit intermediates, worked a whole word
+// at a time.  `mod` is Knuth's Algorithm D (TAOCP vol. 2, §4.3.1).
+// `mod_exp` is left-to-right square-and-multiply over a 4-bit window, with
+// product-scanned (Comba) squaring and multiplication and Barrett reduction
+// (mu found once per call with Algorithm D); all of its scratch limbs are
+// allocated once per call, so the exponent loop never allocates.  One path
+// serves every modulus, odd or even.  The card's MCU runs this model on
+// every behavioural modexp request, which makes it the simulator's host-time
+// hot spot.  The slow bit-at-a-time reference it is differentially tested
+// against (and must stay >= 50x faster than) lives in
+// tests/bignum_reference.h.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +45,6 @@ class BigUint {
   static BigUint mul(const BigUint& a, const BigUint& b);
   /// a mod m; m must be nonzero.
   static BigUint mod(const BigUint& a, const BigUint& m);
-  BigUint shifted_left(std::size_t bits) const;
 
   /// base^exponent mod modulus (square-and-multiply); modulus > 1.
   static BigUint mod_exp(const BigUint& base, const BigUint& exponent,

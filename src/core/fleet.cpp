@@ -1,9 +1,30 @@
 #include "core/fleet.h"
 
 #include <cmath>
+#include <unordered_map>
 #include <utility>
 
 namespace aad::core {
+
+namespace {
+
+/// What a completion hook receives for a request that will never run.
+ServerRequest failed_request(std::uint64_t id, unsigned client,
+                             memory::FunctionId function,
+                             sim::SimTime submit_time, sim::SimTime now,
+                             FailReason reason) {
+  ServerRequest failed;
+  failed.id = id;
+  failed.client = client;
+  failed.function = function;
+  failed.submit_time = submit_time;
+  failed.complete_time = now;
+  failed.failed = true;
+  failed.fail_reason = reason;
+  return failed;
+}
+
+}  // namespace
 
 const char* to_string(DispatchPolicy policy) {
   switch (policy) {
@@ -230,15 +251,9 @@ void CoprocessorFleet::fail_ticket(std::uint64_t ticket, FailReason reason) {
     fleet_track_->instant("fault", "request-failed", now(),
                           static_cast<std::int64_t>(ticket), state.client,
                           state.function);
-  ServerRequest failed;
-  failed.id = ticket;
-  failed.client = state.client;
-  failed.function = state.function;
-  failed.submit_time = state.submit_time;
-  failed.complete_time = now();
-  failed.failed = true;
-  failed.fail_reason = reason;
-  if (state.done) state.done(failed);
+  if (state.done)
+    state.done(failed_request(ticket, state.client, state.function,
+                              state.submit_time, now(), reason));
 }
 
 void CoprocessorFleet::kill_card(unsigned index) {
@@ -255,33 +270,25 @@ void CoprocessorFleet::kill_card(unsigned index) {
   std::vector<CoprocessorServer::CancelledRequest> refugees =
       shard.server->power_off();
   const bool survivors = any_alive();
+  // One pass over the open tickets maps this card's requests back to them.
+  std::unordered_map<std::uint64_t, std::uint64_t> ticket_of;
+  for (const auto& [ticket, state] : tickets_)
+    if (state.on_card && state.card == index)
+      ticket_of.emplace(state.card_request, ticket);
   for (auto& refugee : refugees) {
-    // Match the refugee back to its fleet ticket.
-    std::uint64_t ticket = 0;
-    bool matched = false;
-    for (const auto& [tid, st] : tickets_) {
-      if (st.on_card && st.card == index && st.card_request == refugee.id) {
-        ticket = tid;
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) {
+    const auto match = ticket_of.find(refugee.id);
+    if (match == ticket_of.end()) {
       // Submitted directly through the exposed per-card server: the fleet
       // has no ticket (and no retry budget) for it — surface the failure
       // through its own hook.
       counters_.failed.add();
-      ServerRequest failed;
-      failed.id = refugee.id;
-      failed.client = refugee.client;
-      failed.function = refugee.function;
-      failed.submit_time = refugee.submit_time;
-      failed.complete_time = now();
-      failed.failed = true;
-      failed.fail_reason = FailReason::kCardDeath;
-      if (refugee.done) refugee.done(failed);
+      if (refugee.done)
+        refugee.done(failed_request(refugee.id, refugee.client,
+                                    refugee.function, refugee.submit_time,
+                                    now(), FailReason::kCardDeath));
       continue;
     }
+    const std::uint64_t ticket = match->second;
     TicketState& state = tickets_.at(ticket);
     if (state.timeout_event) {
       scheduler_.cancel(*state.timeout_event);

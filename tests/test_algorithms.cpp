@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "algorithms/aes.h"
 #include "algorithms/bignum.h"
@@ -14,6 +15,7 @@
 #include "algorithms/sha1.h"
 #include "algorithms/sha256.h"
 #include "algorithms/xtea.h"
+#include "bignum_reference.h"
 #include "common/prng.h"
 
 namespace aad::algorithms {
@@ -372,6 +374,194 @@ TEST(ModexpBytesTest, ContractAndValidation) {
   EXPECT_THROW(modexp_bytes(Bytes(10, 1)), Error);
   Bytes bad(96, 0);  // modulus 0
   EXPECT_THROW(modexp_bytes(bad), Error);
+}
+
+// --- BigUint fast paths vs the slow reference ----------------------------------
+// Differential tests in the style of PuTTY's cryptsuite.py: every fast
+// result is compared with tests/bignum_reference.h (binary long division,
+// its own limb arithmetic) on operand widths scattered across a Fibonacci
+// ladder, on edge-case moduli and exponents, and on the dividends that drive
+// Algorithm D into its rare add-back step.
+
+constexpr std::size_t kWidthLadder[] = {0,  1,  2,   3,   5,   8,   13,  21, 34,
+                                        55, 89, 144, 233, 377, 610, 987, 1536};
+
+/// A uniformly random value exactly `bits` bits long (zero for 0 bits).
+BigUint random_bits(Prng& rng, std::size_t bits) {
+  Bytes raw((bits + 7) / 8);
+  for (auto& b : raw) b = static_cast<Byte>(rng.next());
+  if (bits == 0) return BigUint{};
+  const unsigned top = (bits - 1) % 8;
+  raw.back() = static_cast<Byte>((raw.back() & ((2u << top) - 1)) | (1u << top));
+  return BigUint::from_bytes(raw);
+}
+
+/// 2^bits - 1.
+BigUint all_ones(std::size_t bits) {
+  Bytes raw((bits + 7) / 8, 0xFF);
+  if (bits % 8) raw.back() = static_cast<Byte>((1u << (bits % 8)) - 1);
+  return BigUint::from_bytes(raw);
+}
+
+BigUint pow2(std::size_t k) { return BigUint::add(all_ones(k), BigUint{1}); }
+
+BigUint from_limbs(const std::vector<std::uint32_t>& limbs) {
+  Bytes raw(4 * limbs.size());
+  for (std::size_t i = 0; i < raw.size(); ++i)
+    raw[i] = static_cast<Byte>(limbs[i / 4] >> (8 * (i % 4)));
+  return BigUint::from_bytes(raw);
+}
+
+/// 2, 3, single-limb moduli, 2^k and 2^k±1 around limb boundaries, and the
+/// all-ones moduli at 32/64/1024/1536 bits.
+std::vector<BigUint> edge_moduli() {
+  std::vector<BigUint> out = {BigUint{2}, BigUint{3}, BigUint{0x10001},
+                              BigUint{0x80000000u}, BigUint{0xFFFFFFFBu}};
+  for (std::size_t k : {31, 32, 33, 63, 64, 65, 127, 128, 1023, 1024, 1536}) {
+    out.push_back(pow2(k));
+    out.push_back(all_ones(k));
+    out.push_back(BigUint::add(pow2(k), BigUint{1}));
+  }
+  return out;
+}
+
+TEST(BigUintDifferentialTest, MulMatchesReferenceOnWidthLadder) {
+  Prng rng(21);
+  for (std::size_t wa : kWidthLadder) {
+    for (std::size_t wb : kWidthLadder) {
+      const BigUint a = random_bits(rng, wa);
+      const BigUint b = random_bits(rng, wb);
+      EXPECT_EQ(BigUint::mul(a, b), reference_mul(a, b)) << wa << "x" << wb;
+    }
+  }
+}
+
+TEST(BigUintDifferentialTest, ModMatchesReferenceOnWidthLadder) {
+  Prng rng(22);
+  for (std::size_t wm : kWidthLadder) {
+    if (wm == 0) continue;
+    const BigUint m = random_bits(rng, wm);
+    std::vector<std::size_t> widths(std::begin(kWidthLadder),
+                                    std::end(kWidthLadder));
+    widths.insert(widths.end(), {wm - 1, wm, wm + 1, 2 * wm - 1, 2 * wm});
+    for (std::size_t wa : widths) {
+      if (wa > 2 * wm) continue;
+      const BigUint a = random_bits(rng, wa);
+      EXPECT_EQ(BigUint::mod(a, m), reference_mod(a, m))
+          << wa << "-bit mod " << wm << "-bit";
+    }
+  }
+}
+
+TEST(BigUintDifferentialTest, ModMatchesReferenceOnEdgeModuli) {
+  Prng rng(23);
+  for (const BigUint& m : edge_moduli()) {
+    const std::size_t bits = m.bit_length();
+    const BigUint one{1};
+    const BigUint square = BigUint::mul(m, m);
+    const std::vector<BigUint> dividends = {
+        BigUint{},
+        one,
+        BigUint::sub(m, one),
+        m,
+        BigUint::add(m, one),
+        BigUint::add(m, m),
+        BigUint::sub(square, one),
+        square,
+        all_ones(2 * bits),
+        random_bits(rng, bits),
+        random_bits(rng, 2 * bits)};
+    for (const BigUint& a : dividends)
+      EXPECT_EQ(BigUint::mod(a, m), reference_mod(a, m))
+          << a.bit_length() << "-bit mod " << bits << "-bit edge modulus";
+  }
+}
+
+TEST(BigUintDifferentialTest, ModTakesAlgorithmDAddBackStep) {
+  // Dividend/divisor limbs (little-endian) for which the two-limb qhat
+  // refinement still leaves qhat one too large, so step D4 goes negative
+  // and D6 must add the divisor back.  Random limbs reach that branch with
+  // probability ~2^-31 per quotient limb, so it needs crafted inputs.
+  const std::vector<std::pair<std::vector<std::uint32_t>,
+                              std::vector<std::uint32_t>>>
+      add_back = {
+          {{0x7fffffff, 0x80000000, 0x00000000, 0x7fffffff},
+           {0xffffffff, 0x00000000, 0x7fffffff}},
+          {{0x00000000, 0x00000001, 0x80000000, 0x00000001},
+           {0x80000000, 0x00000000, 0x80000000}},
+          {{0x00000000, 0x00000001, 0x80000000, 0xffffffff},
+           {0x80000000, 0x80000000, 0xffffffff}},
+          {{0x00000002, 0x00000000, 0x7fffffff, 0x7fffffff},
+           {0x00000001, 0x7fffffff, 0x7fffffff}},
+          {{0x00000001, 0x00000001, 0x00000002, 0xffffffff},
+           {0x00000002, 0x00000002, 0xffffffff}},
+          {{0x00000002, 0x00000002, 0x80000001, 0xffffffff, 0x80000000},
+           {0x00000001, 0xffffffff, 0xffffffff, 0x80000000}},
+      };
+  for (const auto& [u, v] : add_back) {
+    const BigUint a = from_limbs(u);
+    const BigUint m = from_limbs(v);
+    EXPECT_EQ(BigUint::mod(a, m), reference_mod(a, m));
+  }
+  // Limbs drawn from the values around 0, 2^31 and 2^32 reach the add-back
+  // step on roughly 1% of draws.
+  const std::uint32_t alphabet[] = {0,           1,           2,
+                                    0x7fffffff,  0x80000000,  0x80000001,
+                                    0xfffffffe,  0xffffffff};
+  Prng rng(24);
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<std::uint32_t> v(2 + rng.next_below(3));
+    std::vector<std::uint32_t> u(v.size() + 1 + rng.next_below(v.size() + 1));
+    for (auto& limb : v) limb = alphabet[rng.next_below(8)];
+    for (auto& limb : u) limb = alphabet[rng.next_below(8)];
+    const BigUint m = from_limbs(v);
+    if (m.is_zero()) continue;
+    const BigUint a = from_limbs(u);
+    EXPECT_EQ(BigUint::mod(a, m), reference_mod(a, m)) << "draw " << i;
+  }
+}
+
+TEST(BigUintDifferentialTest, ModExpMatchesReferenceOnWidthLadder) {
+  // Full-width exponents up to 987 bits; the 1536-bit rung takes a 64-bit
+  // exponent here (test_modexp_ratio checks a full 1536-bit one).
+  Prng rng(25);
+  for (std::size_t wm : kWidthLadder) {
+    if (wm < 2) continue;
+    const BigUint m = random_bits(rng, wm);
+    const std::size_t we = wm > 1000 ? 64 : wm;
+    for (const BigUint& base : {random_bits(rng, wm - 1),
+                                random_bits(rng, 2 * wm)}) {
+      const BigUint e = random_bits(rng, we);
+      EXPECT_EQ(BigUint::mod_exp(base, e, m), reference_mod_exp(base, e, m))
+          << wm << "-bit modulus, " << we << "-bit exponent";
+    }
+  }
+}
+
+TEST(BigUintDifferentialTest, ModExpMatchesReferenceOnEdgeCases) {
+  // Bases 0, 1, m-1, m, m+1 and one twice the modulus width; exponents 0,
+  // 1, 2 and all-ones (full width below 1000 bits, 32 bits above, where the
+  // reference costs ~1 s per full-width call).
+  Prng rng(26);
+  const BigUint one{1};
+  for (const BigUint& m : edge_moduli()) {
+    const std::size_t bits = m.bit_length();
+    const bool big = bits > 1000;
+    const std::vector<BigUint> bases = {BigUint{},
+                                        one,
+                                        BigUint::sub(m, one),
+                                        m,
+                                        BigUint::add(m, one),
+                                        random_bits(rng, 2 * bits)};
+    std::vector<BigUint> exponents = {BigUint{}, one, BigUint{2},
+                                      all_ones(big ? 32 : bits)};
+    if (!big) exponents.push_back(random_bits(rng, bits));
+    for (const BigUint& base : bases)
+      for (const BigUint& e : exponents)
+        EXPECT_EQ(BigUint::mod_exp(base, e, m), reference_mod_exp(base, e, m))
+            << bits << "-bit modulus, base " << base.bit_length()
+            << " bits, exponent " << e.bit_length() << " bits";
+  }
 }
 
 // --- FIR -------------------------------------------------------------------------

@@ -360,6 +360,49 @@ TEST(FaultRecoveryTest, ImperativeKillRedispatchesWithoutFaultConfig) {
   EXPECT_EQ(stats.completed, 8u);
 }
 
+// A death with many refugees: each one is matched back to its own ticket,
+// so every hook fires exactly once and carries the output of the payload it
+// was submitted with, and every refugee is redispatched.
+TEST(FaultRecoveryTest, KillMatchesEveryRefugeeToItsOwnTicket) {
+  FleetConfig fc;
+  fc.cards = 2;
+  fc.policy = DispatchPolicy::kRoundRobin;  // half the requests per card
+  CoprocessorFleet fleet(fc);
+  fleet.download_all();
+  const algorithms::KernelId kernel = algorithms::KernelId::kSha256;
+  const memory::FunctionId sha = algorithms::function_id(kernel);
+
+  constexpr unsigned kRequests = 40;
+  std::vector<Bytes> inputs;
+  std::vector<Bytes> outputs(kRequests);
+  std::vector<unsigned> fired(kRequests, 0);
+  for (unsigned i = 0; i < kRequests; ++i) {
+    inputs.push_back(algorithms::bank_input(sha, 1 + i % 4, i));
+    fleet.submit_function(i, sha, inputs.back(),
+                          [&, i](const ServerRequest& done) {
+                            EXPECT_FALSE(done.failed);
+                            ++fired[i];
+                            outputs[i] = done.output;
+                          });
+  }
+  fleet.run_until(fleet.now());
+  ASSERT_EQ(fleet.in_flight(), kRequests);
+  const std::size_t refugees = fleet.server(0).in_flight();
+  ASSERT_EQ(refugees, kRequests / 2);
+  fleet.kill_card(0);
+  fleet.run();
+
+  const algorithms::KernelSpec& spec = algorithms::spec(kernel);
+  for (unsigned i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(fired[i], 1u) << "request " << i;
+    EXPECT_EQ(outputs[i], spec.software(inputs[i])) << "request " << i;
+  }
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.redispatched, refugees);
+  EXPECT_EQ(stats.completed, kRequests);
+  EXPECT_EQ(stats.failed, 0u);
+}
+
 // --- corrupted bitstreams ---------------------------------------------------
 
 // A corrupted ROM image is rejected by the CRC check before any frame is
