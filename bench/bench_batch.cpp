@@ -1,7 +1,7 @@
-// Experiment B — same-function request batching (core/batch_policy.h).
+// Experiment B — same-function request batching (ServerConfig::batch).
 //
-// When the device scheduler picks a function, the BatchPolicy can drain
-// every queued request for that same function into one batch that shares a
+// When the device policy picks a function, greedy batching drains up to 15
+// queued requests for that same function into one batch that shares a
 // single firmware decode + on-demand load and runs back-to-back fabric
 // windows — one reconfiguration amortized across the batch.  The workload
 // is the bursty open-loop generator (workload::make_bursty): concurrent
@@ -9,18 +9,16 @@
 // stage sees an interleaved A,B,C,A,B,C… queue and thrashes its
 // configuration state, while batching regroups the interleave.  Tables:
 //
-//   B1 — batch policy shoot-out (none / greedy / windowed) on the bursty
-//        trace: makespan, throughput, hit rate, batch shape, amortized
-//        engine time — the headline ≥1.3x over no-batch,
-//   B2 — windowed-policy horizon sweep: longer windows coalesce more but
-//        add head-of-line latency (the p99 shows the bet),
+//   B1 — batch mode shoot-out (none / greedy) on the bursty trace:
+//        makespan, throughput, p50/p99 latency, hit rate, batch shape,
+//        amortized engine time,
 //   B3 — burstiness sweep (burst length 1..16), greedy vs none: batching
 //        is free when there is nothing to coalesce and grows with the
 //        burst length,
-//   B4 — 2-card fleet, residency-affinity dispatch x batch policy: the
-//        open-batch routing tier (CoprocessorServer::open_batch_for) steers
-//        concurrent same-function bursts onto the card already coalescing
-//        them.
+//   B4 — 2-card fleet, residency-affinity dispatch x batch mode, with
+//        p50/p99: the open-batch routing tier (CoprocessorServer::
+//        open_batch_for) steers same-function arrivals onto a card whose
+//        greedy batch the fabric refused and will retry.
 //
 // Flags (bench_util.h parser): `--json <path>` captures the headline
 // metrics; `--clients N` (default 8), `--bursts N` per client (default 8),
@@ -28,10 +26,7 @@
 // blocks (default 4), `--intra US` / `--inter US` mean intra-/inter-burst
 // gaps in microseconds (default 40 / 200 — bursts from different clients
 // overlap in arrival time, the regime batching is for) and `--zipf S`
-// burst-function skew (default 0.3) rescale B1, B3 and B4.  B2 studies
-// the light-load trickle regime specifically, so it pins its trace shape
-// (2 clients, 2-block payloads, 100us/3ms gaps) and honors only
-// `--bursts` and `--burstlen`.
+// burst-function skew (default 0.3) rescale every table.
 #include "bench_util.h"
 
 #include <vector>
@@ -107,7 +102,7 @@ core::ServerStats run_server(const core::ServerConfig& sc,
   core::CoprocessorServer server(card, sc);
   if (auto* sink = bench::trace_sink())
     server.attach_trace(*sink,
-                        std::string("batch ") + core::to_string(sc.batch.mode));
+                        std::string("batch ") + core::to_string(sc.batch));
   workload::replay(server, trace, request_input);
   server.run();
   if (hit_rate) {
@@ -124,11 +119,9 @@ core::ServerStats run_server(const core::ServerConfig& sc,
   return server.stats();
 }
 
-core::ServerConfig batch_config(core::BatchMode mode,
-                                sim::SimTime window = sim::SimTime::us(50)) {
+core::ServerConfig batch_config(core::BatchMode mode) {
   core::ServerConfig sc;  // FIFO device policy + overlapped reconfiguration
-  sc.batch.mode = mode;
-  sc.batch.window = window;
+  sc.batch = mode;
   // `--prefetch on` / `--predictor <conf>` layer speculative prefetch onto
   // every table; the default (off) regenerates the documented numbers.
   const bench::PrefetchFlags pf = bench::prefetch_flags();
@@ -138,24 +131,24 @@ core::ServerConfig batch_config(core::BatchMode mode,
 }
 
 void policy_shootout() {
-  std::puts("\n=== B1: batch policy on the bursty same-function trace ===");
+  std::puts("\n=== B1: batch mode on the bursty same-function trace ===");
   std::printf("(%u open-loop clients x %zu bursts x %zu-request bursts over "
               "the heavyweight crypto/DSP bank (~2x the device's frames); "
               "concurrent bursts interleave at the device, so the unbatched "
               "FIFO stage reconfigures per request while batching pays one "
               "load per drained group)\n",
               flag_clients(), flag_bursts(), flag_burstlen());
-  const std::vector<int> widths = {11, 13, 9, 7, 9, 11, 11, 13, 9};
-  bench::print_row({"policy", "makespan(ms)", "req/s", "hit%", "batches",
-                    "mean size", "coalesced", "amort(us)", "speedup"},
+  const std::vector<int> widths = {11, 13, 9, 9, 9, 7, 9, 11, 11, 13, 9};
+  bench::print_row({"batch", "makespan(ms)", "req/s", "p50(us)", "p99(us)",
+                    "hit%", "batches", "mean size", "coalesced", "amort(us)",
+                    "speedup"},
                    widths);
   bench::print_rule(widths);
 
   const auto trace = make_trace(flag_burstlen(), 53);
   double none_rps = 0.0;
   for (const core::BatchMode mode :
-       {core::BatchMode::kNone, core::BatchMode::kGreedy,
-        core::BatchMode::kWindowed}) {
+       {core::BatchMode::kNone, core::BatchMode::kGreedy}) {
     double hit_rate = 0.0;
     const auto stats = run_server(batch_config(mode), trace, &hit_rate);
     if (mode == core::BatchMode::kNone) none_rps = stats.throughput_rps;
@@ -165,6 +158,8 @@ void policy_shootout() {
         {core::to_string(mode),
          bench::fmt("%.2f", stats.makespan.milliseconds()),
          bench::fmt("%.0f", stats.throughput_rps),
+         bench::fmt("%.1f", stats.latency.p50.microseconds()),
+         bench::fmt("%.1f", stats.latency.p99.microseconds()),
          bench::fmt("%.0f", 100.0 * hit_rate), bench::fmt_u(stats.batches),
          bench::fmt("%.2f", stats.mean_batch_size),
          bench::fmt_u(stats.coalesced_loads),
@@ -181,54 +176,10 @@ void policy_shootout() {
     bench::json().set("batch_coalesced" + suffix, stats.coalesced_loads);
     bench::json().set("batch_amortized_us" + suffix,
                       stats.total_amortized_reconfig.microseconds());
+    bench::json().set("batch_p99_us" + suffix,
+                      stats.latency.p99.microseconds());
     if (mode != core::BatchMode::kNone)
       bench::json().set("batch_speedup" + suffix, speedup);
-  }
-}
-
-void window_sweep() {
-  std::puts("\n=== B2: windowed-policy horizon sweep (light-load trickle) ===");
-  std::puts("(2 clients, 100us intra-burst gaps, long idle between bursts: "
-            "the device drains faster than a burst arrives, so w=0 commits "
-            "tiny batches — holding the pick longer coalesces more of each "
-            "burst, and the p50/p99 show the latency the hold costs.  Under "
-            "saturation the queue pre-forms the batches and the window is "
-            "moot — that regime is B1's)");
-  const std::vector<int> widths = {12, 9, 11, 11, 11, 11};
-  bench::print_row({"window(us)", "req/s", "p50(us)", "p99(us)", "mean size",
-                    "coalesced"},
-                   widths);
-  bench::print_rule(widths);
-
-  workload::BurstyConfig bc;
-  bc.clients = 2;
-  bc.bursts = flag_bursts();
-  bc.burst_size = flag_burstlen();
-  bc.functions = heavy_bank();
-  bc.seed = 59;
-  bc.payload_blocks = 2;
-  bc.zipf_s = 0.3;
-  bc.mean_intra_gap = sim::SimTime::us(100);
-  bc.mean_inter_gap = sim::SimTime::us(3000);
-  const auto trace = workload::make_bursty(bc);
-  for (const double window_us : {0.0, 10.0, 25.0, 50.0, 100.0, 250.0}) {
-    const auto stats = run_server(
-        batch_config(core::BatchMode::kWindowed, sim::SimTime::us(window_us)),
-        trace);
-    bench::print_row(
-        {bench::fmt("%.0f", window_us),
-         bench::fmt("%.0f", stats.throughput_rps),
-         bench::fmt("%.1f", stats.latency.p50.microseconds()),
-         bench::fmt("%.1f", stats.latency.p99.microseconds()),
-         bench::fmt("%.2f", stats.mean_batch_size),
-         bench::fmt_u(stats.coalesced_loads)},
-        widths);
-    const std::string suffix = bench::fmt("_w%.0f", window_us);
-    bench::json().set("batch_window_rps" + suffix, stats.throughput_rps);
-    bench::json().set("batch_window_p99_us" + suffix,
-                      stats.latency.p99.microseconds());
-    bench::json().set("batch_window_mean_size" + suffix,
-                      stats.mean_batch_size);
   }
 }
 
@@ -268,21 +219,20 @@ void burstiness_sweep() {
 }
 
 void fleet_composition() {
-  std::puts("\n=== B4: 2-card fleet, residency-affinity x batch policy ===");
+  std::puts("\n=== B4: 2-card fleet, residency-affinity x batch mode ===");
   std::puts("(the affinity router prefers a card holding an OPEN batch for "
-            "the function — open_batch_for — so concurrent same-function "
-            "bursts converge on the card already coalescing them instead "
-            "of splitting the batch across shards)");
-  const std::vector<int> widths = {11, 13, 9, 7, 11, 11, 11};
-  bench::print_row({"policy", "makespan(ms)", "req/s", "hit%", "mean size",
-                    "coalesced", "amort(us)"},
+            "the function — open_batch_for: a greedy batch the fabric "
+            "refused and will retry — so same-function arrivals join it "
+            "instead of splitting the batch across shards)");
+  const std::vector<int> widths = {11, 13, 9, 9, 9, 7, 11, 11, 11};
+  bench::print_row({"batch", "makespan(ms)", "req/s", "p50(us)", "p99(us)",
+                    "hit%", "mean size", "coalesced", "amort(us)"},
                    widths);
   bench::print_rule(widths);
 
   const auto trace = make_trace(flag_burstlen(), 67);
   for (const core::BatchMode mode :
-       {core::BatchMode::kNone, core::BatchMode::kGreedy,
-        core::BatchMode::kWindowed}) {
+       {core::BatchMode::kNone, core::BatchMode::kGreedy}) {
     core::FleetConfig fc;
     fc.cards = 2;
     fc.policy = core::DispatchPolicy::kResidencyAffinity;
@@ -299,6 +249,8 @@ void fleet_composition() {
         {core::to_string(mode),
          bench::fmt("%.2f", stats.makespan.milliseconds()),
          bench::fmt("%.0f", stats.throughput_rps),
+         bench::fmt("%.1f", stats.latency.p50.microseconds()),
+         bench::fmt("%.1f", stats.latency.p99.microseconds()),
          bench::fmt("%.0f", 100.0 * stats.hit_rate),
          bench::fmt("%.2f", stats.mean_batch_size),
          bench::fmt_u(stats.coalesced_loads),
@@ -309,6 +261,8 @@ void fleet_composition() {
     bench::json().set("batch_fleet_hit_rate" + suffix, stats.hit_rate);
     bench::json().set("batch_fleet_mean_size" + suffix,
                       stats.mean_batch_size);
+    bench::json().set("batch_fleet_p99_us" + suffix,
+                      stats.latency.p99.microseconds());
   }
 }
 
@@ -329,7 +283,7 @@ void BM_BatchedBurstyPipeline(benchmark::State& state) {
     card.download_all();
     state.ResumeTiming();
     core::ServerConfig sc;
-    sc.batch.mode = core::BatchMode::kGreedy;
+    sc.batch = core::BatchMode::kGreedy;
     core::CoprocessorServer server(card, sc);
     workload::replay(server, trace, request_input);
     server.run();
@@ -345,7 +299,6 @@ BENCHMARK(BM_BatchedBurstyPipeline)->Unit(benchmark::kMillisecond);
 
 void run_experiment() {
   policy_shootout();
-  window_sweep();
   burstiness_sweep();
   fleet_composition();
 }

@@ -176,8 +176,8 @@ void policy_shootout() {
   std::puts("\n=== O3: device policies on a hot/cold mix (overlap on) ===");
   std::puts("(zipf(1.1): a resident head plus a cold tail.  Reordering "
             "lets hits jump queued reconfigurations, so the fabric stays "
-            "busy; shortest-reconfig-first additionally drains small "
-            "footprints first)");
+            "busy; shortest-reconfig-first additionally drains the "
+            "cheapest modeled loads first)");
   const std::vector<int> widths = {25, 13, 10, 10, 11, 11};
   bench::print_row({"device policy", "makespan(ms)", "req/s", "p50(us)",
                     "p99(us)", "hidden(us)"},

@@ -41,7 +41,7 @@ import json
 import sys
 
 # Lanes that mirror an exclusively-booked hardware resource; their spans
-# must tile without overlap.  "batch" (hold windows) and "dispatch"
+# must tile without overlap.  "batch" (refused-batch holds) and "dispatch"
 # (routing decisions) are logical lanes where overlap is expected.
 SERIALIZED_LANES = {"pci", "engine", "fabric"}
 

@@ -3,45 +3,6 @@
 #include "common/error.h"
 
 namespace aad::core {
-namespace {
-
-class FifoScheduler final : public DeviceScheduler {
- public:
-  DevicePolicy kind() const noexcept override { return DevicePolicy::kFifo; }
-  std::size_t pick(std::span<const DeviceQueueEntry> queue) override {
-    AAD_CHECK(!queue.empty(), "picking from an empty device queue");
-    return 0;  // the queue is kept in data-arrival order
-  }
-};
-
-class ResidentFirstScheduler final : public DeviceScheduler {
- public:
-  DevicePolicy kind() const noexcept override {
-    return DevicePolicy::kResidentFirst;
-  }
-  std::size_t pick(std::span<const DeviceQueueEntry> queue) override {
-    AAD_CHECK(!queue.empty(), "picking from an empty device queue");
-    for (std::size_t i = 0; i < queue.size(); ++i)
-      if (queue[i].resident) return i;
-    return 0;  // all misses: oldest first
-  }
-};
-
-class ShortestReconfigFirstScheduler final : public DeviceScheduler {
- public:
-  DevicePolicy kind() const noexcept override {
-    return DevicePolicy::kShortestReconfigFirst;
-  }
-  std::size_t pick(std::span<const DeviceQueueEntry> queue) override {
-    AAD_CHECK(!queue.empty(), "picking from an empty device queue");
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < queue.size(); ++i)
-      if (queue[i].reconfig_cost < queue[best].reconfig_cost) best = i;
-    return best;  // strict < keeps ties on the earliest arrival
-  }
-};
-
-}  // namespace
 
 const char* to_string(DevicePolicy policy) {
   switch (policy) {
@@ -55,14 +16,31 @@ const char* to_string(DevicePolicy policy) {
   return "unknown";
 }
 
-std::unique_ptr<DeviceScheduler> make_device_scheduler(DevicePolicy policy) {
+const char* to_string(BatchMode mode) {
+  switch (mode) {
+    case BatchMode::kNone:
+      return "none";
+    case BatchMode::kGreedy:
+      return "greedy";
+  }
+  return "unknown";
+}
+
+std::size_t pick(DevicePolicy policy, std::span<const DeviceQueueEntry> queue) {
+  AAD_CHECK(!queue.empty(), "picking from an empty device queue");
   switch (policy) {
     case DevicePolicy::kFifo:
-      return std::make_unique<FifoScheduler>();
+      return 0;  // the queue is kept in data-arrival order
     case DevicePolicy::kResidentFirst:
-      return std::make_unique<ResidentFirstScheduler>();
-    case DevicePolicy::kShortestReconfigFirst:
-      return std::make_unique<ShortestReconfigFirstScheduler>();
+      for (std::size_t i = 0; i < queue.size(); ++i)
+        if (queue[i].resident) return i;
+      return 0;  // all misses: oldest first
+    case DevicePolicy::kShortestReconfigFirst: {
+      std::size_t best = 0;
+      for (std::size_t i = 1; i < queue.size(); ++i)
+        if (queue[i].reconfig_cost < queue[best].reconfig_cost) best = i;
+      return best;  // strict < keeps ties on the earliest arrival
+    }
   }
   AAD_FAIL(ErrorCode::kInvalidArgument, "unknown device policy");
 }

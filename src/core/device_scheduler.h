@@ -1,38 +1,41 @@
-// DeviceScheduler: the pluggable policy that orders the device-ready queue
-// of one card's CoprocessorServer.
+// Device-stage policies of one card's CoprocessorServer: which ready
+// request the config engine serves next (DevicePolicy) and whether queued
+// same-function requests ride along with it (BatchMode).
 //
 // The server's device stage is two independently-arbitrated resources — the
 // configuration engine (firmware decode + on-demand load) and the fabric
 // (RAM staging + execution).  Whenever the engine frees up and requests are
-// waiting with their input DMA complete, the scheduler picks which one is
-// served next.  FIFO is the bit-exact baseline (data-arrival order, exactly
-// the pre-split server); the reordering policies trade arrival fairness for
-// configuration locality:
+// waiting with their input DMA complete, the device policy picks which one
+// is served next.  FIFO is the bit-exact baseline (data-arrival order,
+// exactly the pre-split server); the reordering policies trade arrival
+// fairness for configuration locality:
 //
 //   * resident-first — serve a request whose function is already configured
 //     before any request that needs a reconfiguration: hits cost only the
 //     firmware decode, so letting them jump the queue keeps the fabric fed
 //     while the misses' reconfigurations are batched behind them;
-//   * shortest-reconfiguration-first — SJF on the reconfiguration estimate
-//     (resident = 0; miss = the card's modeled load cost, which under
-//     delta reconfiguration sees through to the dirty-frame count via
-//     Mcu::estimated_load_cost, and otherwise reduces to the function's
-//     ROM frame footprint): minimizes mean engine occupancy ahead of any
-//     given request.
+//   * shortest-reconfiguration-first — SJF on the card's modeled load cost
+//     (Mcu::estimated_load_cost: zero when resident, dirty frames only
+//     under delta reconfiguration): minimizes mean engine occupancy ahead
+//     of any given request.
 //
 // Both reordering policies are deliberately simple and can starve a cold
 // request under a steady stream of resident traffic (classic SJF
 // starvation); they are makespan/throughput policies, not fairness
-// policies.  A deadline- or age-bounded variant slots into the same
-// interface.  Policies are picked per server via ServerConfig and compose
-// with the fleet's dispatch policies (core::CoprocessorFleet).
+// policies.
+//
+// Batching attacks the reconfiguration cost from the other side: under
+// BatchMode::kGreedy every queued request for the picked function (up to a
+// fixed cap) rides the pick's one firmware decode and one on-demand load,
+// then runs back-to-back fabric windows.  Both policies are picked per
+// server via ServerConfig and compose with the fleet's dispatch policies
+// (core::CoprocessorFleet).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 
-#include "memory/rom.h"
 #include "sim/time.h"
 
 namespace aad::core {
@@ -41,36 +44,31 @@ namespace aad::core {
 enum class DevicePolicy : std::uint8_t {
   kFifo,                    ///< data-arrival order (bit-exact baseline)
   kResidentFirst,           ///< configuration hits jump the queue
-  kShortestReconfigFirst,   ///< smallest reconfiguration estimate first
+  kShortestReconfigFirst,   ///< smallest modeled load cost first
 };
 
 const char* to_string(DevicePolicy policy);
 
-/// One ready request, as the policy sees it.  `resident` and
-/// `reconfig_frames` are refreshed at pick time, so the policy always
-/// decides against the card's current configuration state.
+/// How a CoprocessorServer coalesces same-function requests.
+enum class BatchMode : std::uint8_t {
+  kNone,    ///< batches of one — bit-exact with the unbatched server
+  kGreedy,  ///< the pick plus every queued same-function request (capped)
+};
+
+const char* to_string(BatchMode mode);
+
+/// One ready request, as a reordering policy sees it at pick time, so the
+/// policy always decides against the card's current configuration state.
 struct DeviceQueueEntry {
-  std::uint64_t id = 0;              ///< ServerRequest id
-  memory::FunctionId function = 0;
-  sim::SimTime ready;                ///< input DMA completed (arrival order)
-  bool resident = false;             ///< configuration currently on the fabric
-  unsigned reconfig_frames = 0;      ///< 0 when resident; ROM footprint else
-  /// The SJF ordering key: zero when resident.  Without a load-cost model
-  /// the server fills frames-as-picoseconds (a monotone map of the old
-  /// footprint key, so orderings are unchanged); with delta reconfiguration
-  /// it is the card's real modeled load cost.
+  bool resident = false;       ///< configuration currently on the fabric
+  /// kShortestReconfigFirst's key: Mcu::estimated_load_cost (zero when
+  /// resident).  Left zero under the other policies.
   sim::SimTime reconfig_cost;
 };
 
-class DeviceScheduler {
- public:
-  virtual ~DeviceScheduler() = default;
-  virtual DevicePolicy kind() const noexcept = 0;
-  /// Index into `queue` (never empty, arrival order) of the request to
-  /// serve next.  Must be deterministic; ties break to the earliest entry.
-  virtual std::size_t pick(std::span<const DeviceQueueEntry> queue) = 0;
-};
-
-std::unique_ptr<DeviceScheduler> make_device_scheduler(DevicePolicy policy);
+/// Index into `queue` (never empty, arrival order) of the request `policy`
+/// serves next.  Deterministic; ties break to the earliest entry.  FIFO
+/// always answers 0, so callers skip building entries for it.
+std::size_t pick(DevicePolicy policy, std::span<const DeviceQueueEntry> queue);
 
 }  // namespace aad::core

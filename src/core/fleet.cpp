@@ -358,10 +358,9 @@ unsigned CoprocessorFleet::choose(memory::FunctionId function,
       return least_queued();
     case DispatchPolicy::kResidencyAffinity: {
       // Strongest signal first: a card whose device stage is holding an
-      // OPEN batch for this function (a windowed BatchPolicy waiting for
-      // more same-function arrivals) — a request routed there joins the
-      // batch and shares its single decode + load, paying no
-      // reconfiguration at all.
+      // OPEN batch for this function (a greedy batch the fabric refused and
+      // will retry) — a request routed there joins the batch and shares its
+      // single decode + load, paying no reconfiguration at all.
       bool found = false;
       unsigned best = 0;
       for (unsigned i = 0; i < card_count(); ++i) {

@@ -63,8 +63,9 @@ enum class DispatchPolicy {
   kRoundRobin,         ///< cards in cyclic order, ignoring state
   kLeastQueued,        ///< fewest in-flight requests (ties: lowest card)
   kResidencyAffinity,  ///< tiered: a card holding an OPEN batch for the
-                       ///< function (CoprocessorServer::open_batch_for — the
-                       ///< request joins the batch and shares its one
+                       ///< function (CoprocessorServer::open_batch_for: a
+                       ///< greedy batch the fabric refused and will retry —
+                       ///< the request joins it and shares its one
                        ///< decode+load), else a card where the function is
                        ///< already configured or inbound on an in-flight
                        ///< request (ties: least-queued among them), else —
@@ -97,11 +98,11 @@ struct FleetConfig {
   /// fleets are a later PR; the dispatch seam is already here).
   CoprocessorConfig card;
   /// Per-card pipeline knobs: device-queue policy (FIFO / resident-first /
-  /// shortest-reconfiguration-first), overlapped reconfiguration, and the
-  /// same-function BatchPolicy (ServerConfig::batch).  The fleet dispatch
+  /// shortest-reconfiguration-first), overlapped reconfiguration, and
+  /// same-function batching (ServerConfig::batch).  The fleet dispatch
   /// policy and the per-card policies compose: dispatch picks the card,
-  /// the device scheduler orders that card's ready queue, and the batch
-  /// policy coalesces same-function picks into shared-load batches.
+  /// the device policy orders that card's ready queue, and greedy batching
+  /// coalesces same-function picks into shared-load batches.
   ServerConfig server;
   /// kResidencyAffinity only: enable the cheap-delta tier — when no card
   /// holds (or is loading) the function, route to the card whose delta

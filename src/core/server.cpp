@@ -5,6 +5,10 @@
 namespace aad::core {
 namespace {
 
+/// Largest number of requests one greedy batch drains: the pick plus up to
+/// 15 queued same-function mates.
+constexpr std::size_t kMaxBatch = 16;
+
 sim::SimTime percentile(const std::vector<sim::SimTime>& sorted, double q) {
   if (sorted.empty()) return sim::SimTime::zero();
   // Nearest-rank: the smallest value with at least q of the mass below it,
@@ -58,8 +62,6 @@ CoprocessorServer::CoprocessorServer(AgileCoprocessor& card,
                                      const ServerConfig& config)
     : card_(card),
       config_(config),
-      device_scheduler_(make_device_scheduler(config.device_policy)),
-      batch_policy_(make_batch_policy(config.batch)),
       counters_{card.registry().counter("server.submitted"),
                 card.registry().counter("server.cancelled"),
                 card.registry().counter("server.batches"),
@@ -158,9 +160,7 @@ std::optional<CoprocessorServer::CancelledRequest> CoprocessorServer::try_cancel
     card_.scheduler().cancel(*p.chain_event);
     scheduled_.erase(*p.chain_event);
   }
-  const auto inbound = inbound_.find(p.request.function);
-  AAD_CHECK(inbound != inbound_.end(), "inbound accounting out of sync");
-  if (--inbound->second == 0) inbound_.erase(inbound);
+  retire_inbound(p.request.function);
   // If this was the open batch's last queued member, retire the anchor so
   // open_batch_for stops advertising a batch nobody can join.
   if (hold_anchors_.contains(p.request.function)) {
@@ -270,134 +270,49 @@ void CoprocessorServer::pump_device() {
     // The device is planned busy; one wake-up at its next-start instant
     // serves the whole queue (each commit reschedules the next).  Waiting
     // until then — rather than committing windows into the future — is
-    // what lets the DeviceScheduler reorder everything still queued.
+    // what lets the device policy reorder everything still queued.
     schedule_pump(device_available());
     return;
   }
 
   std::size_t choice = 0;  // FIFO: the queue is already in arrival order
-  if (device_scheduler_->kind() != DevicePolicy::kFifo) {
+  if (config_.device_policy != DevicePolicy::kFifo) {
     // The policy decides against the card's configuration state right now
-    // — residency at pick time, not at arrival time.
+    // — residency and load cost at pick time, not at arrival time.
+    const mcu::Mcu& mcu = card_.mcu();
+    const bool sjf =
+        config_.device_policy == DevicePolicy::kShortestReconfigFirst;
     std::vector<DeviceQueueEntry> entries;
     entries.reserve(device_queue_.size());
-    const mcu::Mcu& mcu = card_.mcu();
-    // SJF's ordering key: the real modeled load cost once the card tracks
-    // frame contents (delta reconfiguration), else frames-as-picoseconds —
-    // a monotone map of the footprint, so orderings (and ties) are exactly
-    // the old frame-count SJF's.
-    const bool cost_model =
-        device_scheduler_->kind() == DevicePolicy::kShortestReconfigFirst &&
-        mcu.config().engine.delta_reconfig;
     for (const std::uint64_t ready_id : device_queue_) {
-      const Pending& p = pending(ready_id);
+      const memory::FunctionId fn = pending(ready_id).request.function;
       DeviceQueueEntry entry;
-      entry.id = ready_id;
-      entry.function = p.request.function;
-      entry.ready = p.request.device_ready;
-      entry.resident = mcu.is_resident(entry.function);
-      if (!entry.resident)
-        if (const auto record = mcu.rom().lookup(entry.function))
-          entry.reconfig_frames = record->frames;
-      entry.reconfig_cost = cost_model
-                                ? mcu.estimated_load_cost(entry.function)
-                                : sim::SimTime::ps(entry.reconfig_frames);
+      entry.resident = mcu.is_resident(fn);
+      if (sjf && !entry.resident)
+        entry.reconfig_cost = mcu.estimated_load_cost(fn);
       entries.push_back(entry);
     }
-    choice = device_scheduler_->pick(entries);
-    AAD_CHECK(choice < device_queue_.size(),
-              "device scheduler picked out of range");
+    choice = pick(config_.device_policy, entries);
   }
-  const std::uint64_t id = device_queue_[choice];
+  const std::uint64_t leader = device_queue_[choice];
+  const memory::FunctionId function = pending(leader).request.function;
 
-  // Batch formation: the scheduler chose WHICH function is served next;
-  // the batch policy decides whether to commit now and how many queued
-  // same-function requests ride along (sharing one decode + load).  The
-  // hold anchor survives across pumps as long as the pick stays on the
-  // same function, so a windowed policy's horizon is measured from the
-  // first time the function became the pick, not from the latest wake-up.
-  std::uint64_t leader = id;
-  memory::FunctionId function = pending(id).request.function;
-  std::vector<std::uint64_t> batch{id};
-  if (batch_policy_->kind() != BatchMode::kNone) {
-    // kNone always commits a batch of one, so the same-function queue
-    // scans below would only compute counts its decide() discards — skip
-    // them on what is every pre-batching configuration's hot path.
-    const auto view_for = [this](memory::FunctionId fn, sim::SimTime anchor) {
-      BatchView view;
-      view.function = fn;
-      for (const std::uint64_t ready_id : device_queue_)
-        if (pending(ready_id).request.function == fn) ++view.queued;
-      view.hold_since = anchor;
-      view.now = now();
-      view.est_load_cost = card_.mcu().estimated_load_cost(fn);
-      return view;
-    };
-    // The horizon anchor is PER FUNCTION and survives the pick moving
-    // elsewhere (a resident-first scheduler can commit another function
-    // mid-hold): the window is measured from the first time the function
-    // became the pick, not from its latest re-pick.  The anchor retires
-    // when the function's batch commits.
-    const sim::SimTime anchor =
-        hold_anchors_.try_emplace(function, now()).first->second;
-    BatchDecision decision = batch_policy_->decide(view_for(function, anchor));
-    if (!decision.commit) {
-      AAD_CHECK(decision.reconsider_at > now(),
-                "batch policy held without a future reconsider time");
-      // The pick holds — but a DIFFERENT anchored function whose own
-      // horizon has already run out must not keep waiting for the pick to
-      // bounce back to it (a trickle of scheduler-preferred arrivals each
-      // opening a fresh hold would defer it unboundedly).  Ask the policy
-      // about every other anchored function: serve the oldest-anchored
-      // one that commits, and otherwise sleep until the EARLIEST
-      // reconsider time over all of them, so each hold expires on its own
-      // clock even while another function is the pick.
-      bool found = false;
-      sim::SimTime wake = decision.reconsider_at;
-      memory::FunctionId alt{};
-      sim::SimTime alt_anchor;
-      for (const auto& [fn, fn_anchor] : hold_anchors_) {
-        if (fn == function) continue;
-        const BatchView view = view_for(fn, fn_anchor);
-        if (view.queued == 0) continue;
-        const BatchDecision d = batch_policy_->decide(view);
-        if (!d.commit) {
-          AAD_CHECK(d.reconsider_at > now(),
-                    "batch policy held without a future reconsider time");
-          wake = std::min(wake, d.reconsider_at);
-          continue;
-        }
-        if (!found || fn_anchor < alt_anchor) {
-          found = true;
-          alt = fn;
-          alt_anchor = fn_anchor;
-          decision = d;
-        }
-      }
-      if (!found) {
-        schedule_pump(wake);
-        return;
-      }
-      function = alt;
-      bool leader_found = false;
-      for (const std::uint64_t ready_id : device_queue_)
-        if (pending(ready_id).request.function == function) {
-          leader = ready_id;
-          leader_found = true;
-          break;
-        }
-      AAD_CHECK(leader_found, "anchored function has no queued request");
-    }
-    AAD_CHECK(decision.limit >= 1, "batch policy committed an empty batch");
-    batch = collect_batch(leader, decision.limit);
-  }
+  // The device policy chose WHICH function is served next; greedy batching
+  // lets every queued same-function request ride along (sharing one decode
+  // + load).  kNone serves a batch of one, so it skips the same-function
+  // scan on what is every unbatched configuration's hot path.
+  const std::vector<std::uint64_t> batch =
+      config_.batch == BatchMode::kGreedy
+          ? collect_batch(leader)
+          : std::vector<std::uint64_t>{leader};
   if (!serve_batch(batch)) {
     // The batch may not take the engine while the fabric is busy (overlap
     // refused).  Every member stays queued — later arrivals can still be
     // reordered ahead of them — and the pump retries once the fabric
-    // frees.  The function's hold anchor persists across the refusal, so
-    // a windowed horizon is not restarted and open_batch_for keeps
-    // advertising the still-forming batch to the fleet router.
+    // frees.  Meanwhile open_batch_for advertises the still-forming greedy
+    // batch to the fleet router, from the instant of its first refusal.
+    if (config_.batch == BatchMode::kGreedy)
+      hold_anchors_.try_emplace(function, now());
     schedule_pump(fabric_free_);
     return;
   }
@@ -414,16 +329,15 @@ void CoprocessorServer::pump_device() {
 }
 
 std::vector<std::uint64_t> CoprocessorServer::collect_batch(
-    std::uint64_t leader, std::size_t limit) const {
+    std::uint64_t leader) const {
   std::vector<std::uint64_t> batch{leader};
-  if (limit <= 1) return batch;
   const memory::FunctionId function = queue_.at(leader).request.function;
   // Leader first (the scheduler's pick), then the other same-function
   // entries in arrival order.  With the built-in device policies the pick
   // IS the earliest same-function entry, so the whole batch is in arrival
   // order.
   for (const std::uint64_t ready_id : device_queue_) {
-    if (batch.size() >= limit) break;
+    if (batch.size() >= kMaxBatch) break;
     if (ready_id == leader) continue;
     if (queue_.at(ready_id).request.function == function)
       batch.push_back(ready_id);
@@ -500,21 +414,20 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
   // routing signal, so the inbound marker retires (were it kept through
   // PCI-out, an eviction by a later overlapped load could leave the fleet
   // routing on a function this card no longer holds or expects).
-  const auto inbound = inbound_.find(p.request.function);
-  AAD_CHECK(inbound != inbound_.end(), "inbound accounting out of sync");
-  if (--inbound->second == 0) inbound_.erase(inbound);
-  if (config_.prefetch.enabled)
-    settle_prefetch(p.request.function, p.request.load.hit);
+  const memory::FunctionId function = p.request.function;
+  retire_inbound(function);
+  if (config_.prefetch.enabled) settle_prefetch(function, p.request.load.hit);
 
   p.request.prepare_time = p.request.decode_time + load_elapsed;
   const sim::SimTime engine_end = engine_start + p.request.prepare_time;
+  engine_free_ = engine_end;
   if (engine_track_ != nullptr) {
     engine_track_->span("engine", "decode", engine_start, load_start,
-                        p.request.id, p.request.client, p.request.function);
+                        p.request.id, p.request.client, function);
     if (load_elapsed > sim::SimTime::zero())
       engine_track_->span("engine", "load", load_start,
                           load_start + load_elapsed, p.request.id,
-                          p.request.client, p.request.function);
+                          p.request.client, function);
   }
 
   // The overlap win: load time that ran while another request's fabric
@@ -523,79 +436,68 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
     p.request.hidden_reconfig =
         std::min(engine_end, fabric_busy_until) - load_start;
 
-  const sim::SimTime fabric_start = std::max(engine_end, fabric_free_);
-  p.request.fabric_wait = fabric_start - engine_end;
-  p.request.fabric_start = fabric_start;
-  p.request.device_wait = p.request.engine_wait + p.request.fabric_wait;
-
-  mcu::ExecutedInvoke run =
-      mcu.execute_invoke(p.request.function, p.input, fabric_start);
-  p.request.execute_time = run.time;
-  p.request.exec_cycles = run.exec_cycles;
-  p.request.output = std::move(run.output);
-  // The input payload stays on the Pending: a card death after commit hands
-  // it back as a refugee for redispatch (at-least-once semantics).
-  p.committed = true;
-
-  engine_free_ = engine_end;
-  fabric_free_ = fabric_start + run.time;
-  if (fabric_track_ != nullptr)
-    fabric_track_->span("fabric", "execute", fabric_start, fabric_free_,
-                        p.request.id, p.request.client, p.request.function);
-  executing_.push_back({fabric_free_, p.request.function});
-  {
-    const std::uint64_t leader_id = batch.front();
-    schedule(fabric_free_, [this, leader_id] { begin_pci_out(leader_id); });
-  }
-
-  // The coalesced members: no engine occupancy at all — they ride the
-  // leader's decode + load and run back-to-back fabric windows behind it.
+  // Every member runs its own fabric window, back to back behind the
+  // leader's load: the leader first, then the coalesced mates, which take
+  // no engine occupancy at all.
   const std::uint64_t batch_id = counters_.batches.value();
   counters_.batches.add();
-  const memory::FunctionId function = p.request.function;
   const sim::SimTime leader_prepare = p.request.prepare_time;
-  p.request.batch_id = batch_id;
-  p.request.batch_size = static_cast<std::uint32_t>(batch.size());
-  for (std::size_t i = 1; i < batch.size(); ++i) {
+  const auto batch_size = static_cast<std::uint32_t>(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     const std::uint64_t member_id = batch[i];
     Pending& q = pending(member_id);
     AAD_CHECK(q.request.function == function, "mixed-function batch");
     q.request.batch_id = batch_id;
-    q.request.batch_size = static_cast<std::uint32_t>(batch.size());
-    q.request.coalesced_load = true;
-    // The member's load "commits" with the leader's: the function is
-    // resident (and pinned, below) for its window, so it is a hit with no
-    // engine time of its own; Mcu::is_resident carries the routing signal
-    // from here on, exactly as for the leader.
-    q.request.load.hit = true;
-    const auto member_inbound = inbound_.find(function);
-    AAD_CHECK(member_inbound != inbound_.end(),
-              "inbound accounting out of sync");
-    if (--member_inbound->second == 0) inbound_.erase(member_inbound);
-
-    q.request.device_start = engine_start;
-    q.request.engine_wait = engine_start - q.request.device_ready;
-    const sim::SimTime member_start = fabric_free_;
-    q.request.fabric_start = member_start;
-    q.request.fabric_wait = member_start - engine_end;
+    q.request.batch_size = batch_size;
+    if (i > 0) {
+      // The member's load "commits" with the leader's: the function is
+      // resident (and pinned, below) for its window, so it is a hit with
+      // no engine time of its own; Mcu::is_resident carries the routing
+      // signal from here on, exactly as for the leader.
+      q.request.coalesced_load = true;
+      q.request.load.hit = true;
+      retire_inbound(function);
+      q.request.device_start = engine_start;
+      q.request.engine_wait = engine_start - q.request.device_ready;
+      counters_.coalesced_loads.add();
+      counters_.amortized_reconfig.add_time(leader_prepare);
+    }
+    const sim::SimTime fabric_start = std::max(engine_end, fabric_free_);
+    q.request.fabric_start = fabric_start;
+    q.request.fabric_wait = fabric_start - engine_end;
     q.request.device_wait = q.request.engine_wait + q.request.fabric_wait;
-
-    mcu::ExecutedInvoke member_run =
-        mcu.execute_invoke(function, q.input, member_start);
-    q.request.execute_time = member_run.time;
-    q.request.exec_cycles = member_run.exec_cycles;
-    q.request.output = std::move(member_run.output);
+    // The input payload stays on the Pending: a card death after commit
+    // hands it back as a refugee for redispatch (at-least-once semantics).
     q.committed = true;
 
-    fabric_free_ = member_start + member_run.time;
+    mcu::ExecutedInvoke run;
+    try {
+      run = mcu.execute_invoke(function, q.input, fabric_start);
+    } catch (const Error& error) {
+      if (error.code() != ErrorCode::kInvalidArgument &&
+          error.code() != ErrorCode::kCapacityExceeded)
+        throw;
+      // The kernel rejected the payload, or it overflowed local RAM, while
+      // being staged: execute_invoke charged no stage time and the fabric
+      // window never opened.  This member alone fails, at the instant its
+      // window would have started; the rest of the batch runs on.
+      q.request.failed = true;
+      q.request.fail_reason = FailReason::kBadInput;
+      if (fabric_track_ != nullptr)
+        fabric_track_->instant("fault", "bad-input", fabric_start, member_id,
+                               q.request.client, function);
+      schedule(fabric_start, [this, member_id] { complete(member_id); });
+      continue;
+    }
+    q.request.execute_time = run.time;
+    q.request.exec_cycles = run.exec_cycles;
+    q.request.output = std::move(run.output);
+    fabric_free_ = fabric_start + run.time;
     if (fabric_track_ != nullptr)
-      fabric_track_->span("fabric", "execute", member_start, fabric_free_,
-                          q.request.id, q.request.client, function);
+      fabric_track_->span("fabric", "execute", fabric_start, fabric_free_,
+                          member_id, q.request.client, function);
     executing_.push_back({fabric_free_, function});
     schedule(fabric_free_, [this, member_id] { begin_pci_out(member_id); });
-
-    counters_.coalesced_loads.add();
-    counters_.amortized_reconfig.add_time(leader_prepare);
   }
 
   // A real batch keeps one pin reference on its function until the last
@@ -604,9 +506,16 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
   // refcounted, so this composes with the per-load PinGuards above).
   if (batch.size() > 1) {
     mcu.pin(function);
-    schedule(fabric_free_, [this, function] { card_.mcu().unpin(function); });
+    schedule(std::max(engine_end, fabric_free_),
+             [this, function] { card_.mcu().unpin(function); });
   }
   return true;
+}
+
+void CoprocessorServer::retire_inbound(memory::FunctionId function) {
+  const auto inbound = inbound_.find(function);
+  AAD_CHECK(inbound != inbound_.end(), "inbound accounting out of sync");
+  if (--inbound->second == 0) inbound_.erase(inbound);
 }
 
 void CoprocessorServer::fail_batch(const std::vector<std::uint64_t>& batch,
@@ -614,9 +523,7 @@ void CoprocessorServer::fail_batch(const std::vector<std::uint64_t>& batch,
   for (const std::uint64_t member : batch) {
     Pending& q = pending(member);
     q.committed = true;  // terminal: a timeout cancel must not race this
-    const auto inbound = inbound_.find(q.request.function);
-    AAD_CHECK(inbound != inbound_.end(), "inbound accounting out of sync");
-    if (--inbound->second == 0) inbound_.erase(inbound);
+    retire_inbound(q.request.function);
     q.request.failed = true;
     q.request.fail_reason = reason;
     if (engine_track_ != nullptr)

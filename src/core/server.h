@@ -22,22 +22,24 @@
 // window (mcu::Mcu::pin) for the duration of B's load, so the eviction loop
 // can never touch them, and by serializing behind the fabric when
 // mcu::Mcu::load_feasible says the pinned frames fragment the device too
-// much.  The device-ready queue is ordered by a pluggable DeviceScheduler
-// (FIFO baseline — bit-exact with the pre-split single-resource server when
+// much.  The device-ready queue is ordered by a DevicePolicy (FIFO baseline
+// — bit-exact with the pre-split single-resource server when
 // overlap_reconfig is off — plus resident-first and
 // shortest-reconfiguration-first; see core/device_scheduler.h).
 //
-// On top of the scheduler's pick, a pluggable BatchPolicy
-// (core/batch_policy.h) coalesces queued SAME-FUNCTION requests into one
-// batch: the batch shares a single firmware decode and a single on-demand
-// load, then runs back-to-back fabric windows, so one reconfiguration is
-// amortized across every member.  The batch's function holds a pin
-// reference (mcu::Mcu::pin is refcounted) from load commit until its last
-// window retires, so overlapped loads of other functions can never evict
-// it mid-batch.  BatchMode::kNone (the default) serves every request as a
-// batch of one and is bit-exact with the unbatched server; kGreedy drains
-// the queue immediately; kWindowed holds commitment up to a horizon so
-// more same-function arrivals can coalesce.
+// Under BatchMode::kGreedy the policy's pick takes up to 15 queued
+// SAME-FUNCTION requests along into one batch: the batch shares a single
+// firmware decode and a single on-demand load, then runs back-to-back
+// fabric windows, so one reconfiguration is amortized across every member.
+// The batch's function holds a pin reference (mcu::Mcu::pin is refcounted)
+// from load commit until its last window retires, so overlapped loads of
+// other functions can never evict it mid-batch.  BatchMode::kNone (the
+// default) serves every request as a batch of one and is bit-exact with
+// the unbatched server.
+//
+// A request whose payload the kernel rejects (or that overflows the card's
+// local RAM) fails alone with FailReason::kBadInput; its batch-mates and
+// every other request run on.
 //
 // stats() reports per-request latency percentiles, throughput, and the wait
 // attribution split into bus/engine/fabric, plus the total reconfiguration
@@ -66,7 +68,6 @@
 #include <set>
 #include <vector>
 
-#include "core/batch_policy.h"
 #include "core/coprocessor.h"
 #include "core/device_scheduler.h"
 #include "core/predictor.h"
@@ -81,6 +82,7 @@ enum class FailReason : std::uint8_t {
   kCardDeath,   ///< the card powered off with the request on it, no survivor
   kTimeout,     ///< the fleet's watchdog expired and retries were exhausted
   kCrcReject,   ///< corrupted bitstream: load rejected even after re-fetch
+  kBadInput,    ///< the kernel rejected the payload, or it overflowed RAM
 };
 
 /// One completed (or in-flight) request, with its full time breakdown.
@@ -114,7 +116,7 @@ struct ServerRequest {
   /// load was a hit, the fabric was idle, or overlap is disabled.
   sim::SimTime hidden_reconfig;
 
-  // Batch accounting (core/batch_policy.h).  Without batching every
+  // Batch accounting (BatchMode).  Without batching every
   // request is its own batch of one.
   std::uint64_t batch_id = 0;    ///< device commit this request rode, dense
   std::uint32_t batch_size = 1;  ///< members of that commit
@@ -234,10 +236,9 @@ struct ServerConfig {
   /// another (frames permitting).  Off = decode+load+execute serialize per
   /// request, exactly the old one-busy-until-scalar device stage.
   bool overlap_reconfig = true;
-  /// Same-function request coalescing (core/batch_policy.h).  The default
-  /// (BatchMode::kNone) serves every request as a batch of one, bit-exact
-  /// with the unbatched server.
-  BatchConfig batch;
+  /// Same-function request coalescing.  The default (kNone) serves every
+  /// request as a batch of one, bit-exact with the unbatched server.
+  BatchMode batch = BatchMode::kNone;
   /// Speculative next-function prefetch (default off).
   PrefetchConfig prefetch;
 };
@@ -280,7 +281,7 @@ class CoprocessorServer {
   std::size_t in_flight() const noexcept { return in_flight_; }
   const ServerConfig& config() const noexcept { return config_; }
   /// Requests whose input DMA finished but the config engine has not yet
-  /// accepted them (what the DeviceScheduler reorders).
+  /// accepted them (what the DevicePolicy reorders).
   std::size_t device_queue_depth() const noexcept {
     return device_queue_.size();
   }
@@ -293,14 +294,13 @@ class CoprocessorServer {
   bool function_inbound(memory::FunctionId function) const {
     return inbound_.contains(function);
   }
-  /// Is the device stage holding an OPEN batch for `function` — an
-  /// uncommitted coalescing opportunity (a windowed hold, or any batch the
-  /// fabric refused and will retry) that a new same-function arrival would
-  /// still join?  The fleet's residency-affinity router prefers such a
-  /// card over a merely-resident one: a request routed here joins the
-  /// batch and shares its single decode + load.  Always false under
-  /// BatchMode::kNone; under kGreedy only a refused-and-retrying batch is
-  /// ever observable (greedy commits the instant it picks).
+  /// Is the device stage holding an OPEN batch for `function` — a greedy
+  /// batch the fabric refused (its load cannot avoid the frames pinned by
+  /// committed fabric windows) and the pump will retry — that a new
+  /// same-function arrival would still join?  The fleet's residency-affinity router
+  /// prefers such a card over a merely-resident one: a request routed here
+  /// joins the batch and shares its single decode + load.  Always false
+  /// under BatchMode::kNone.
   bool open_batch_for(memory::FunctionId function) const {
     return hold_anchors_.contains(function);
   }
@@ -405,20 +405,23 @@ class CoprocessorServer {
   /// Commit the policy's next pick to the engine + fabric; reschedules
   /// itself at the device's next-start instant while requests are waiting.
   void pump_device();
-  /// Queued same-function batch mates of `leader` (the scheduler's pick),
-  /// leader first, the rest in arrival order, capped at `limit`.
-  std::vector<std::uint64_t> collect_batch(std::uint64_t leader,
-                                           std::size_t limit) const;
+  /// Queued same-function batch mates of `leader` (the device policy's
+  /// pick), leader first, the rest in arrival order, at most kMaxBatch.
+  std::vector<std::uint64_t> collect_batch(std::uint64_t leader) const;
   /// Plan the batch's shared engine window (leader decode + load) and its
   /// back-to-back fabric windows, and mutate the MCU accordingly.
   /// Returns false — nothing committed, every member stays queued — when
   /// the fabric is busy and the leader may not take the engine yet
   /// (overlap disabled, or its load cannot avoid the pinned frames); the
-  /// pump retries once the fabric frees, and can reorder around it.
+  /// pump retries once the fabric frees, and can reorder around it.  A
+  /// member whose payload execute_invoke rejects fails alone (kBadInput).
   bool serve_batch(const std::vector<std::uint64_t>& batch);
   void begin_pci_out(std::uint64_t id);
   void complete(std::uint64_t id);
   Pending& pending(std::uint64_t id);
+  /// Drop one inbound reference to `function` (its load committed, or the
+  /// request left before it could).
+  void retire_inbound(memory::FunctionId function);
   /// Fail the whole batch terminally (corrupted bitstream): every member
   /// completes NOW with failed=true and no engine/fabric time charged.
   void fail_batch(const std::vector<std::uint64_t>& batch, FailReason reason);
@@ -438,8 +441,6 @@ class CoprocessorServer {
 
   AgileCoprocessor& card_;
   ServerConfig config_;
-  std::unique_ptr<DeviceScheduler> device_scheduler_;
-  std::unique_ptr<BatchPolicy> batch_policy_;
   std::map<std::uint64_t, Pending> queue_;  ///< in-flight, by request id
   std::vector<std::uint64_t> device_queue_;  ///< ready ids, arrival order
   /// In-flight requests whose load has not yet committed, by function.
@@ -450,12 +451,11 @@ class CoprocessorServer {
   sim::SimTime fabric_free_;         ///< fabric busy-until
   std::vector<FabricCommitment> executing_;  ///< fabric windows not yet over
   std::optional<sim::SimTime> pump_wake_;  ///< earliest pending pump event
-  /// When each queued function FIRST became the scheduler's pick: the
-  /// windowed policy's horizon anchors, kept across pick changes (a
-  /// non-FIFO device policy can commit other functions mid-hold) and
-  /// across fabric refusals, retired when the function's batch commits.
-  /// Every entry is an open batch (open_batch_for) a new same-function
-  /// arrival would join.
+  /// Functions whose greedy batch the fabric refused, with the instant of
+  /// the first refusal: kept across later refusals and pick changes,
+  /// retired when the function's batch commits (recorded as a batch-hold
+  /// span) or its last queued request is cancelled.  Every entry is an
+  /// open batch (open_batch_for) a new same-function arrival would join.
   std::map<memory::FunctionId, sim::SimTime> hold_anchors_;
   std::vector<ServerRequest> completed_;
   /// Ids of every event this server has scheduled and not yet seen fire —

@@ -624,18 +624,18 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input,
   ExecutedInvoke run;
   sim::SimTime t = start;
 
+  // The stage.* counters are charged only once the whole invocation has
+  // succeeded: a payload the kernel rejects (or that overflows local RAM)
+  // throws before any fabric time is booked, so the counters keep agreeing
+  // with the fabric windows the caller records.
+
   // Data-input module: host payload is already in local RAM (PCI layer);
-  // stage it to the fabric.
+  // stage it to the fabric.  The module streams from RAM as it reads.
   ram_.reset_allocation();
   const std::size_t in_off = ram_.allocate(input.size());
   ram_.write(in_off, input);
-  {
-    // The data-input module streams from RAM to the fabric as it reads.
-    const sim::SimTime d = config_.ram_timing.access_time(input.size());
-    counters_.stage_data_in.add_time(d);
-    t += d;
-    run.io_time += d;
-  }
+  const sim::SimTime data_in = config_.ram_timing.access_time(input.size());
+  t += data_in;
 
   // Execute.
   HardwareResult hw;
@@ -653,24 +653,21 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input,
     hw.output = model.compute(input);
     hw.cycles = model.cycles(input.size());
   }
-  {
-    const sim::SimTime d = fabric_.execution_time(hw.cycles);
-    counters_.stage_execute.add_time(d);
-    t += d;
-    run.exec_time = d;
-  }
+  run.exec_time = fabric_.execution_time(hw.cycles);
+  t += run.exec_time;
   run.exec_cycles = hw.cycles;
 
   // Output-collection module: stage result through local RAM.
   const std::size_t out_off = ram_.allocate(hw.output.size());
   ram_.write(out_off, hw.output);
-  {
-    const sim::SimTime d = config_.ram_timing.access_time(hw.output.size());
-    counters_.stage_data_out.add_time(d);
-    t += d;
-    run.io_time += d;
-  }
+  const sim::SimTime data_out =
+      config_.ram_timing.access_time(hw.output.size());
+  t += data_out;
 
+  counters_.stage_data_in.add_time(data_in);
+  counters_.stage_execute.add_time(run.exec_time);
+  counters_.stage_data_out.add_time(data_out);
+  run.io_time = data_in + data_out;
   run.output = std::move(hw.output);
   run.time = t - start;
   return run;

@@ -47,7 +47,7 @@ struct HarnessConfig {
   unsigned cards = 4;
   core::DispatchPolicy dispatch = core::DispatchPolicy::kResidencyAffinity;
   core::DevicePolicy device = core::DevicePolicy::kFifo;
-  core::BatchConfig batch;  ///< kNone default: batches of one
+  core::BatchMode batch = core::BatchMode::kNone;  ///< batches of one
   bool overlap_reconfig = true;
   bool delta_reconfig = false;
 

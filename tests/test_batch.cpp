@@ -1,11 +1,11 @@
-// Tests for same-function request batching (core/batch_policy.h): the
-// none policy serves every request as a batch of one (bit-exact with the
-// unbatched server), greedy drains the same-function queue behind one
-// decode + load, the windowed policy degenerates to no-batch on a lone
-// request and coalesces late arrivals inside its horizon, the batch's pin
-// reference survives an overlapped load's pin/unpin cycle (eviction
-// pressure mid-batch), and a single-card fleet with batching is bit-exact
-// with a bare CoprocessorServer.
+// Tests for same-function request batching (ServerConfig::batch): kNone
+// serves every request as a batch of one (bit-exact with the unbatched
+// server), greedy drains the same-function queue behind one decode + load,
+// the batch's pin reference survives an overlapped load's pin/unpin cycle
+// (eviction pressure mid-batch), a single-card fleet with batching is
+// bit-exact with a bare CoprocessorServer, and a greedy batch the fabric
+// refused stays open for the fleet router to steer same-function arrivals
+// into.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,14 +46,13 @@ workload::MultiClientTrace bursty_trace(std::uint64_t seed) {
 TEST(BatchPolicyTest, ModeNamesRoundTrip) {
   EXPECT_STREQ(to_string(BatchMode::kNone), "none");
   EXPECT_STREQ(to_string(BatchMode::kGreedy), "greedy");
-  EXPECT_STREQ(to_string(BatchMode::kWindowed), "windowed");
 }
 
 TEST(BatchPolicyTest, NonePolicyServesEveryRequestAsBatchOfOne) {
   AgileCoprocessor card;
   card.download_all();
   CoprocessorServer server(card);  // default config: BatchMode::kNone
-  ASSERT_EQ(server.config().batch.mode, BatchMode::kNone);
+  ASSERT_EQ(server.config().batch, BatchMode::kNone);
   workload::replay(server, bursty_trace(11), request_input);
   server.run();
 
@@ -79,7 +78,7 @@ TEST(BatchPolicyTest, GreedyDrainsSameFunctionQueueBehindOneLoad) {
   card.download(KernelId::kModExp);
   card.download(KernelId::kSha256);
   ServerConfig sc;
-  sc.batch.mode = BatchMode::kGreedy;
+  sc.batch = BatchMode::kGreedy;
   CoprocessorServer server(card, sc);
   server.submit(0, KernelId::kModExp, blocker);
   std::vector<Bytes> inputs;
@@ -126,117 +125,6 @@ TEST(BatchPolicyTest, GreedyDrainsSameFunctionQueueBehindOneLoad) {
   EXPECT_EQ(stats.total_amortized_reconfig, leader->prepare_time * 3);
 }
 
-TEST(BatchPolicyTest, WindowExpiryWithSingleRequestDegeneratesToNoBatch) {
-  // One lone request under the windowed policy: nothing coalesces, the
-  // hold expires, and the request commits as a batch of one — delayed by
-  // exactly the window, never starved.
-  const Bytes input = kernel_input(KernelId::kSha256, 8, 5);
-  const auto run_once = [&](BatchMode mode, sim::SimTime window) {
-    AgileCoprocessor card;
-    card.download(KernelId::kSha256);
-    ServerConfig sc;
-    sc.batch.mode = mode;
-    sc.batch.window = window;
-    CoprocessorServer server(card, sc);
-    server.submit(0, KernelId::kSha256, input);
-    server.run();
-    return server.completed().front();
-  };
-
-  const sim::SimTime window = sim::SimTime::us(40);
-  const ServerRequest none = run_once(BatchMode::kNone, window);
-  const ServerRequest windowed = run_once(BatchMode::kWindowed, window);
-
-  EXPECT_EQ(windowed.batch_size, 1u);
-  EXPECT_FALSE(windowed.coalesced_load);
-  // The only difference is the hold: the engine window starts one horizon
-  // later, and everything downstream shifts rigidly with it.
-  EXPECT_EQ(windowed.device_start, none.device_start + window);
-  EXPECT_EQ(windowed.complete_time, none.complete_time + window);
-  EXPECT_EQ(windowed.prepare_time, none.prepare_time);
-  EXPECT_EQ(windowed.execute_time, none.execute_time);
-  EXPECT_EQ(windowed.output, none.output);
-}
-
-TEST(BatchPolicyTest, WindowedCoalescesArrivalsInsideTheHorizon) {
-  // Request 1 reaches the device and the windowed policy holds; request 2
-  // for the same function arrives inside the horizon and joins the batch.
-  const Bytes input_a = kernel_input(KernelId::kSha256, 8, 6);
-  const Bytes input_b = kernel_input(KernelId::kSha256, 8, 7);
-  AgileCoprocessor card;
-  card.download(KernelId::kSha256);
-  ServerConfig sc;
-  sc.batch.mode = BatchMode::kWindowed;
-  sc.batch.window = sim::SimTime::us(200);
-  CoprocessorServer server(card, sc);
-  server.submit(0, KernelId::kSha256, input_a);
-  server.submit_function_at(server.now() + sim::SimTime::us(50), 1,
-                            algorithms::function_id(KernelId::kSha256),
-                            input_b);
-  server.run();
-
-  ASSERT_EQ(server.completed().size(), 2u);
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.coalesced_loads, 1u);
-  EXPECT_DOUBLE_EQ(stats.mean_batch_size, 2.0);
-  for (const ServerRequest& r : server.completed()) {
-    EXPECT_EQ(r.batch_size, 2u);
-    EXPECT_EQ(r.output, algorithms::spec(KernelId::kSha256)
-                            .software(r.client == 0 ? input_a : input_b));
-  }
-}
-
-TEST(BatchPolicyTest, WindowedHoldSurvivesThePickMovingToAnotherFunction) {
-  // Composing windowed batching with a resident-first device scheduler:
-  // cold MatMul opens a hold, then a resident SHA-256 request arrives and
-  // resident-first re-picks SHA-256 mid-hold, opening a second hold.
-  // MatMul's horizon anchor must survive that interleaving — measured
-  // from the FIRST time it became the pick — and its hold must expire on
-  // its own clock even while SHA-256 is the pick: MatMul commits the
-  // instant its window runs out, instead of waiting for the pick to
-  // bounce back (which would let every resident arrival defer it by
-  // another full window, unbounded).
-  AgileCoprocessor card;
-  card.download(KernelId::kSha256);
-  card.download(KernelId::kMatMul);
-  const auto sha = algorithms::function_id(KernelId::kSha256);
-  const auto matmul = algorithms::function_id(KernelId::kMatMul);
-
-  ServerConfig sc;
-  sc.device_policy = DevicePolicy::kResidentFirst;
-  sc.batch.mode = BatchMode::kWindowed;
-  sc.batch.window = sim::SimTime::us(100);
-  CoprocessorServer server(card, sc);
-  // Warm SHA-256 so resident-first has something to jump the queue with.
-  server.submit(0, KernelId::kSha256, kernel_input(KernelId::kSha256, 2, 1));
-  server.run();
-
-  server.submit(1, KernelId::kMatMul, kernel_input(KernelId::kMatMul, 2, 2));
-  server.submit_function_at(server.now() + sim::SimTime::us(30), 2, sha,
-                            kernel_input(KernelId::kSha256, 2, 3));
-  server.run();
-
-  const ServerRequest* mm = nullptr;
-  const ServerRequest* warm_sha = nullptr;
-  for (const ServerRequest& r : server.completed()) {
-    if (r.function == matmul) mm = &r;
-    if (r.client == 2 && r.function == sha) warm_sha = &r;
-  }
-  ASSERT_NE(mm, nullptr);
-  ASSERT_NE(warm_sha, nullptr);
-  // SHA-256 reached the device later and was the resident-first pick when
-  // MatMul's horizon ran out.
-  EXPECT_GT(warm_sha->device_ready, mm->device_ready);
-  // MatMul commits exactly one window after it FIRST became the pick —
-  // its anchor survived SHA-256 stealing the pick, and its expiry
-  // overrode SHA-256's still-open hold.
-  EXPECT_EQ(mm->device_start, mm->device_ready + sc.batch.window);
-  // SHA-256's own expired hold then takes the engine the moment MatMul's
-  // engine window releases it.
-  EXPECT_EQ(warm_sha->device_start, mm->device_start + mm->prepare_time);
-}
-
 TEST(BatchPolicyTest, EvictionPressureMidBatchKeepsTheFunctionPinned) {
   // A three-request SHA-256 batch owns the fabric; mid-batch, a cold
   // MatMul load streams through the engine (overlapped reconfiguration)
@@ -253,7 +141,7 @@ TEST(BatchPolicyTest, EvictionPressureMidBatchKeepsTheFunctionPinned) {
   const auto matmul = algorithms::function_id(KernelId::kMatMul);
 
   ServerConfig sc;
-  sc.batch.mode = BatchMode::kGreedy;
+  sc.batch = BatchMode::kGreedy;
   CoprocessorServer server(card, sc);
   // Make AES + FFT resident so MatMul's load has eviction candidates.
   server.submit(0, KernelId::kAes128, kernel_input(KernelId::kAes128, 2, 1));
@@ -310,7 +198,7 @@ TEST(BatchPolicyTest, SingleCardFleetWithBatchingIsBitExactWithServer) {
   // server's timings event for event.
   const auto trace = bursty_trace(23);
   ServerConfig sc;
-  sc.batch.mode = BatchMode::kGreedy;
+  sc.batch = BatchMode::kGreedy;
 
   AgileCoprocessor card;
   card.download_all();
@@ -327,7 +215,7 @@ TEST(BatchPolicyTest, SingleCardFleetWithBatchingIsBitExactWithServer) {
   workload::replay(fleet, trace, request_input);
   fleet.run();
 
-  ASSERT_EQ(fleet.server(0).config().batch.mode, BatchMode::kGreedy);
+  ASSERT_EQ(fleet.server(0).config().batch, BatchMode::kGreedy);
   const auto& direct = server.completed();
   const auto& sharded = fleet.server(0).completed();
   ASSERT_EQ(direct.size(), sharded.size());
@@ -351,41 +239,50 @@ TEST(BatchPolicyTest, SingleCardFleetWithBatchingIsBitExactWithServer) {
 }
 
 TEST(BatchPolicyTest, OpenBatchRoutingSteersSameFunctionToTheHoldingCard) {
-  // Card 0 starts a windowed hold for SHA-256; even once its queue is
-  // longer than card 1's, the affinity router keeps steering SHA-256
-  // arrivals to card 0 — they join the open batch and share its load.
+  // Card 1 holds SHA-256 warm and idle.  Card 0's fabric is booked by
+  // three overlapped loads (a 1024-bit ModExp executing, MatMul and FFT
+  // committed behind it: all 48 frames pinned), so a greedy SHA-256 batch
+  // there is refused and stays open.  The affinity router must prefer that open
+  // batch over card 1's resident copy and shorter queue: the arrival joins
+  // the batch and shares its one decode + load.
   FleetConfig fc;
   fc.cards = 2;
   fc.policy = DispatchPolicy::kResidencyAffinity;
-  fc.server.batch.mode = BatchMode::kWindowed;
-  fc.server.batch.window = sim::SimTime::ms(5);  // hold long enough to probe
+  fc.server.batch = BatchMode::kGreedy;
   CoprocessorFleet fleet(fc);
   fleet.download_all();
   const auto sha = algorithms::function_id(KernelId::kSha256);
 
-  fleet.submit(0, KernelId::kSha256, kernel_input(KernelId::kSha256, 4, 1));
-  // Step until the request reaches card 0's device stage and the windowed
-  // policy opens the hold.
+  fleet.server(1).submit(0, KernelId::kSha256,
+                         kernel_input(KernelId::kSha256, 2, 1));
+  fleet.run();
+  ASSERT_TRUE(fleet.card(1).mcu().is_resident(sha));
+
+  CoprocessorServer& card0 = fleet.server(0);
+  card0.submit(1, KernelId::kModExp, kernel_input(KernelId::kModExp, 4, 2));
+  card0.submit(2, KernelId::kMatMul, kernel_input(KernelId::kMatMul, 2, 3));
+  card0.submit(3, KernelId::kFft, kernel_input(KernelId::kFft, 6, 4));
+  card0.submit(4, KernelId::kSha256, kernel_input(KernelId::kSha256, 2, 5));
   bool open = false;
   for (int step = 0; step < 10000 && !open; ++step) {
     fleet.run_until(fleet.now() + sim::SimTime::us(5));
-    open = fleet.server(0).open_batch_for(sha);
+    open = card0.open_batch_for(sha);
   }
-  ASSERT_TRUE(open) << "windowed policy never opened a batch hold";
+  ASSERT_TRUE(open) << "the fabric never refused the SHA-256 batch";
 
-  // The open batch outranks least-queued: card 0 wins for SHA-256 even
-  // with the deeper queue, while other functions still balance away.
+  // The open batch outranks both the resident tier and least-queued.
+  EXPECT_GT(card0.in_flight(), fleet.server(1).in_flight());
   EXPECT_EQ(fleet.preview_card(sha), 0u);
-  const auto id_b = fleet.submit(1, KernelId::kSha256,
-                                 kernel_input(KernelId::kSha256, 4, 2));
-  (void)id_b;
+  fleet.submit(5, KernelId::kSha256, kernel_input(KernelId::kSha256, 2, 6));
   fleet.run();
 
   const auto stats = fleet.stats();
-  EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.coalesced_loads, 1u);  // the second request joined
-  EXPECT_EQ(stats.cards[0].server.completed, 2u);
-  EXPECT_EQ(stats.cards[1].server.completed, 0u);
+  EXPECT_EQ(stats.completed, 6u);
+  EXPECT_EQ(stats.coalesced_loads, 1u);  // the routed request joined
+  EXPECT_EQ(stats.cards[0].server.completed, 5u);
+  EXPECT_EQ(stats.cards[0].server.coalesced_loads, 1u);
+  EXPECT_EQ(stats.cards[1].server.completed, 1u);
+  EXPECT_FALSE(card0.open_batch_for(sha));  // retired at commit
 }
 
 }  // namespace

@@ -8,9 +8,9 @@
 // clean run to prove the harness actually catches violations.  Around the
 // sweep sit targeted regressions: redispatch off a dead card, CRC-reject +
 // refetch recovery, watchdog timeouts retrying on a survivor, cold fabric
-// after revival, and a differential test that every DeviceScheduler x
-// BatchPolicy combination completes the exact same request set as the
-// FIFO/no-batch baseline.
+// after revival, a malformed payload failing only its own request, and a
+// differential test that every DevicePolicy x BatchMode combination
+// completes the exact same request set as the FIFO/no-batch baseline.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -23,6 +23,7 @@
 
 #include "core/fleet.h"
 #include "invariant_harness.h"
+#include "telemetry/trace_sink.h"
 #include "workload/replay.h"
 
 namespace aad::core {
@@ -38,19 +39,18 @@ Bytes request_input(workload::FunctionId fn, std::size_t blocks,
 harness::HarnessConfig sweep_config(std::uint64_t seed, unsigned slot) {
   harness::HarnessConfig hc;
   hc.seed = seed;
-  // Rotate through 3 dispatch policies x 3 batch modes; fold the device
-  // scheduler, delta reconfiguration, corruption, and the watchdog in as
+  // Rotate through 3 dispatch policies x 2 batch modes; fold the device
+  // policy, delta reconfiguration, corruption, and the watchdog in as
   // extra axes so 5 PR seeds already cross most of the space and 50
-  // nightly seeds cover it many times over.  The batch index shifts by one
-  // every 3 slots, so 9 consecutive slots visit all 9 dispatch x batch
-  // pairs and slots 0-4 already include windowed batching under deaths.
+  // nightly seeds cover it many times over.  The batch mode flips every 3
+  // slots, so 6 consecutive slots visit all 6 dispatch x batch pairs and
+  // slots 3-4 already run greedy batching under deaths.
   static const DispatchPolicy kDispatch[] = {DispatchPolicy::kRoundRobin,
                                              DispatchPolicy::kLeastQueued,
                                              DispatchPolicy::kResidencyAffinity};
-  static const BatchMode kBatch[] = {BatchMode::kNone, BatchMode::kGreedy,
-                                     BatchMode::kWindowed};
+  static const BatchMode kBatch[] = {BatchMode::kNone, BatchMode::kGreedy};
   hc.dispatch = kDispatch[slot % 3];
-  hc.batch.mode = kBatch[(slot + slot / 3) % 3];
+  hc.batch = kBatch[(slot / 3) % 2];
   hc.device = (slot % 2) ? DevicePolicy::kResidentFirst : DevicePolicy::kFifo;
   hc.delta_reconfig = (slot % 2) == 1;
   hc.timeout = (slot % 3 == 0) ? sim::SimTime::us(800) : sim::SimTime::zero();
@@ -403,6 +403,88 @@ TEST(FaultRecoveryTest, KillMatchesEveryRefugeeToItsOwnTicket) {
   EXPECT_EQ(stats.failed, 0u);
 }
 
+// --- malformed payloads ----------------------------------------------------
+
+// A payload the kernel rejects, or one larger than the card's 64 KiB local
+// RAM, fails only its own request (kBadInput): the other requests complete
+// with the software reference output,
+// every hook fires once, the fleet drains, and it keeps serving afterwards.
+// The failed request books no fabric time, so each card's fabric lane and
+// its stage.* execution counters still agree.
+TEST(BadInputTest, MalformedPayloadFailsOnlyItsOwnRequest) {
+  FleetConfig fc;
+  fc.cards = 2;
+  CoprocessorFleet fleet(fc);
+  fleet.download_all();
+  telemetry::TraceSink sink;
+  fleet.attach_trace(sink, "fleet");
+
+  using algorithms::KernelId;
+  struct Request {
+    KernelId kernel;
+    Bytes input;
+    bool bad;
+  };
+  const std::vector<Request> requests = {
+      {KernelId::kSha256, algorithms::spec(KernelId::kSha256).make_input(2, 1),
+       false},
+      {KernelId::kSha256, algorithms::spec(KernelId::kSha256).make_input(2, 2),
+       false},
+      {KernelId::kModExp, Bytes(95, 0x5a), true},  // not base||exp||modulus
+      {KernelId::kFft, algorithms::spec(KernelId::kFft).make_input(6, 3),
+       false},
+      {KernelId::kSha256, Bytes(70 * 1024, 0x11), true},  // overflows RAM
+  };
+  std::vector<unsigned> fired(requests.size(), 0);
+  std::vector<ServerRequest> done(requests.size());
+  for (unsigned i = 0; i < requests.size(); ++i)
+    fleet.submit(i, requests[i].kernel, requests[i].input,
+                 [&, i](const ServerRequest& r) {
+                   ++fired[i];
+                   done[i] = r;
+                 });
+  fleet.run();
+
+  for (unsigned i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(fired[i], 1u) << "request " << i;
+    if (requests[i].bad) {
+      EXPECT_TRUE(done[i].failed);
+      EXPECT_EQ(done[i].fail_reason, FailReason::kBadInput);
+      EXPECT_TRUE(done[i].output.empty());
+    } else {
+      EXPECT_FALSE(done[i].failed) << "request " << i;
+      EXPECT_EQ(done[i].output,
+                algorithms::spec(requests[i].kernel).software(requests[i].input))
+          << "request " << i;
+    }
+  }
+  EXPECT_EQ(fleet.in_flight(), 0u);
+  EXPECT_TRUE(fleet.sim_idle());
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.failed, 2u);
+
+  std::uint64_t fabric_ps = 0;
+  for (const telemetry::TraceEvent& e : sink.merged())
+    if (e.is_span() && std::string(e.category) == "fabric")
+      fabric_ps += static_cast<std::uint64_t>(e.dur_ps);
+  std::uint64_t stage_ps = 0;
+  for (unsigned c = 0; c < fleet.card_count(); ++c)
+    for (const char* stage : {"stage.data-in", "stage.execute", "stage.data-out"})
+      stage_ps += fleet.card(c).registry().counter(stage).value();
+  EXPECT_GT(fabric_ps, 0u);
+  EXPECT_EQ(fabric_ps, stage_ps);
+
+  // The fleet stays usable: a follow-on request completes normally.
+  const Bytes next = algorithms::spec(KernelId::kSha256).make_input(1, 4);
+  Bytes next_output;
+  fleet.submit(9, KernelId::kSha256, next,
+               [&](const ServerRequest& r) { next_output = r.output; });
+  fleet.run();
+  EXPECT_EQ(next_output, algorithms::spec(KernelId::kSha256).software(next));
+  EXPECT_EQ(fleet.in_flight(), 0u);
+}
+
 // --- corrupted bitstreams ---------------------------------------------------
 
 // A corrupted ROM image is rejected by the CRC check before any frame is
@@ -594,7 +676,7 @@ TEST(FaultModeTest, IdleWatchdogIsTimingNeutral) {
 
 // --- differential: schedulers and batchers preserve the served set ----------
 
-// Every DeviceScheduler x BatchPolicy combination must complete exactly the
+// Every DevicePolicy x BatchMode combination must complete exactly the
 // same multiset of (client, function, output) as the FIFO/no-batch
 // baseline on the same trace — policies reorder and coalesce work, they
 // never change what gets computed.
@@ -605,7 +687,7 @@ TEST(DifferentialTest, AllCombosCompleteSameRequestSet) {
     card.download_all();
     ServerConfig sc;
     sc.device_policy = dp;
-    sc.batch.mode = bm;
+    sc.batch = bm;
     CoprocessorServer server(card, sc);
     workload::replay(server, trace, request_input);
     server.run();
@@ -624,8 +706,7 @@ TEST(DifferentialTest, AllCombosCompleteSameRequestSet) {
   for (const DevicePolicy dp :
        {DevicePolicy::kFifo, DevicePolicy::kResidentFirst,
         DevicePolicy::kShortestReconfigFirst}) {
-    for (const BatchMode bm :
-         {BatchMode::kNone, BatchMode::kGreedy, BatchMode::kWindowed}) {
+    for (const BatchMode bm : {BatchMode::kNone, BatchMode::kGreedy}) {
       if (dp == DevicePolicy::kFifo && bm == BatchMode::kNone) continue;
       EXPECT_EQ(served_set(dp, bm), baseline)
           << "policy " << to_string(dp) << " x " << to_string(bm)

@@ -9,7 +9,7 @@
 //
 // Trace sink: deterministic merge order, the span/instant encodings, and
 // span *nesting* on real server runs across the three lifecycle paths —
-// overlapped reconfiguration, windowed batching (hold spans), and
+// overlapped reconfiguration, greedy batching (hold spans), and
 // speculative prefetch (engine-lane speculation) — with the hardware lanes
 // (pci/engine/fabric) staying serialized, because each mirrors a resource
 // the simulator books exclusively.
@@ -338,35 +338,30 @@ TEST(ServerTraceTest, OverlapRunEmitsNestedLifecycleSpans) {
                                  stage("stage.data-out"));
 }
 
-TEST(ServerTraceTest, WindowedBatchingEmitsHoldSpans) {
-  // Bursty same-function traffic under a windowed horizon: followers
-  // coalesce behind a leader, and every hold that actually delayed its
-  // batch shows up as a batch-hold span on the (logical, overlappable)
-  // batch lane.
-  workload::BurstyConfig bc;
-  bc.clients = 3;
-  bc.bursts = 2;
-  bc.burst_size = 4;
-  bc.functions = {algorithms::function_id(KernelId::kSha256),
-                  algorithms::function_id(KernelId::kAes128),
-                  algorithms::function_id(KernelId::kFft)};
-  bc.seed = 59;
-  bc.payload_blocks = 2;
-  bc.zipf_s = 0.3;
-  bc.mean_intra_gap = sim::SimTime::us(40);
-  bc.mean_inter_gap = sim::SimTime::us(3000);
-  const auto trace = workload::make_bursty(bc);
-
+TEST(ServerTraceTest, RefusedGreedyBatchEmitsHoldSpans) {
+  // A 1024-bit ModExp executes while MatMul and FFT load behind it
+  // (overlapped reconfiguration), pinning all 48 frames: the greedy SHA-256
+  // batch the device policy picks next is refused until the fabric drains,
+  // and the SHA-256 requests queued behind it coalesce into it.  The
+  // refusal shows up as a batch-hold span on the (logical, overlappable)
+  // batch lane, covering the time the batch stayed open.
   core::ServerConfig sc;
-  sc.batch.mode = core::BatchMode::kWindowed;
-  sc.batch.window = sim::SimTime::us(50);
+  sc.batch = core::BatchMode::kGreedy;
 
   core::AgileCoprocessor card;
   card.download_all();
   core::CoprocessorServer server(card, sc);
   telemetry::TraceSink sink;
   server.attach_trace(sink, "card 0", 0);
-  workload::replay(server, trace, request_input);
+  const auto submit = [&server](unsigned client, KernelId kernel,
+                                std::size_t blocks) {
+    server.submit(client, kernel,
+                  algorithms::spec(kernel).make_input(blocks, client));
+  };
+  submit(0, KernelId::kModExp, 4);  // 18 frames, ~1.3 ms on the fabric
+  submit(1, KernelId::kMatMul, 2);  // 14 frames
+  submit(2, KernelId::kFft, 6);     // 16 frames
+  for (unsigned c = 3; c < 6; ++c) submit(c, KernelId::kSha256, 2);
   server.run();
   const core::ServerStats stats = server.stats();
   const std::vector<TraceEvent> merged = sink.merged();
