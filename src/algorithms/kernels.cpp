@@ -35,10 +35,7 @@ sim::SimTime host_ns_from_cycles(double cycles) {
 }
 
 std::uint32_t load_le32(ByteSpan data, std::size_t offset) {
-  return static_cast<std::uint32_t>(data[offset]) |
-         (static_cast<std::uint32_t>(data[offset + 1]) << 8) |
-         (static_cast<std::uint32_t>(data[offset + 2]) << 16) |
-         (static_cast<std::uint32_t>(data[offset + 3]) << 24);
+  return aad::load_le32(data.subspan(offset, 4).data());
 }
 
 void store_le32(Bytes& out, std::uint32_t v) {
@@ -583,7 +580,13 @@ std::vector<KernelSpec> build_catalog() {
                                         0.85, g);
           },
       .make_input = [](std::size_t blocks, std::uint64_t seed) {
-        // `blocks` is log2 of the FFT size; default 256 points.
+        // `blocks` is log2 of the FFT size (at least 8 points).  The
+        // payload and the equal-sized output share the card's 64 KiB local
+        // RAM, so 2^13 points (2 x 32 KiB) is the largest that runs.
+        constexpr std::size_t kMaxLog2 = 13;
+        AAD_REQUIRE(blocks <= kMaxLog2,
+                    "FFT input of 2^" + std::to_string(blocks) +
+                        " points does not fit the 64 KiB local RAM");
         const std::size_t n = std::size_t{1}
                               << std::max<std::size_t>(3, blocks);
         return random_bytes(4 * n, seed);

@@ -101,8 +101,8 @@ Bytes pack_frame_payloads(const Bitstream& bitstream) {
 std::vector<fabric::Word> bytes_to_words(ByteSpan data) {
   AAD_REQUIRE(data.size() % 4 == 0, "word stream length not word-aligned");
   std::vector<fabric::Word> words(data.size() / 4);
-  ByteReader r(data);
-  for (auto& word : words) word = r.u32();
+  for (std::size_t i = 0; i < words.size(); ++i)
+    words[i] = load_le32(data.data() + 4 * i);
   return words;
 }
 

@@ -32,7 +32,7 @@ void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
 }
 
 void ByteReader::require(std::size_t count) const {
-  if (offset_ + count > data_.size())
+  if (count > data_.size() - offset_)
     AAD_FAIL(ErrorCode::kCorruptData, "ByteReader read past end of data");
 }
 
@@ -42,23 +42,24 @@ std::uint8_t ByteReader::u8() {
 }
 
 std::uint16_t ByteReader::u16() {
-  const auto lo = u8();
-  const auto hi = u8();
-  return static_cast<std::uint16_t>(lo | (hi << 8));
+  require(2);
+  const auto v = load_le16(data_.data() + offset_);
+  offset_ += 2;
+  return v;
 }
 
 std::uint32_t ByteReader::u32() {
-  const auto lo = u16();
-  const auto hi = u16();
-  return static_cast<std::uint32_t>(lo) |
-         (static_cast<std::uint32_t>(hi) << 16);
+  require(4);
+  const auto v = load_le32(data_.data() + offset_);
+  offset_ += 4;
+  return v;
 }
 
 std::uint64_t ByteReader::u64() {
-  const auto lo = u32();
-  const auto hi = u32();
-  return static_cast<std::uint64_t>(lo) |
-         (static_cast<std::uint64_t>(hi) << 32);
+  require(8);
+  const auto v = load_le64(data_.data() + offset_);
+  offset_ += 8;
+  return v;
 }
 
 Bytes ByteReader::bytes(std::size_t count) {

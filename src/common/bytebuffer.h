@@ -16,6 +16,23 @@ using Byte = std::uint8_t;
 using Bytes = std::vector<Byte>;
 using ByteSpan = std::span<const Byte>;
 
+/// Little-endian loads from raw bytes, assembled byte by byte so the result
+/// never depends on host byte order (compilers fuse them into one load).
+/// The caller guarantees the bytes are there.
+constexpr std::uint16_t load_le16(const Byte* p) noexcept {
+  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
+}
+constexpr std::uint32_t load_le32(const Byte* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+constexpr std::uint64_t load_le64(const Byte* p) noexcept {
+  return static_cast<std::uint64_t>(load_le32(p)) |
+         (static_cast<std::uint64_t>(load_le32(p + 4)) << 32);
+}
+
 /// Append-only little-endian serializer.
 class ByteWriter {
  public:

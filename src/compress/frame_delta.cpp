@@ -26,12 +26,21 @@ class FrameDeltaStream final : public DecompressStream {
   std::size_t read(std::span<Byte> out) override {
     const std::size_t want = std::min(out.size(), raw_size_ - produced_);
     const std::size_t got = decoder_.read(out.subspan(0, want));
-    for (std::size_t i = 0; i < got; ++i) {
-      const Byte reconstructed =
-          static_cast<Byte>(out[i] ^ history_[history_pos_]);
-      out[i] = reconstructed;
-      history_[history_pos_] = reconstructed;
-      if (++history_pos_ == history_.size()) history_pos_ = 0;
+    // XOR span by span: each run ends at the next history wrap, so the
+    // inner loop has no cursor branch and vectorises.
+    for (std::size_t done = 0; done < got;) {
+      const std::size_t n =
+          std::min(got - done, history_.size() - history_pos_);
+      Byte* const dst = out.data() + done;
+      Byte* const hist = history_.data() + history_pos_;
+      for (std::size_t i = 0; i < n; ++i) {
+        const Byte reconstructed = static_cast<Byte>(dst[i] ^ hist[i]);
+        dst[i] = reconstructed;
+        hist[i] = reconstructed;
+      }
+      done += n;
+      history_pos_ += n;
+      if (history_pos_ == history_.size()) history_pos_ = 0;
     }
     produced_ += got;
     return got;

@@ -364,13 +364,13 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
   // touch any executing function's frames.  Pinning the executing functions
   // keeps them out of the eviction loop, which — allocation only ever
   // handing out free frames — makes the new frame set disjoint from theirs.
-  // When overlap is off, or even the limit state (everything non-pinned
-  // evicted) cannot place the function, defer: the request waits for the
-  // fabric like the pre-split server, but uncommitted, so the scheduler
-  // can still reorder the queue meanwhile.
+  // When even the limit state (everything non-pinned evicted) cannot place
+  // the function, defer: the request waits for the fabric like the
+  // pre-split server, but uncommitted, so the scheduler can still reorder
+  // the queue meanwhile.  (With overlap off the fabric is never busy here:
+  // pump_device waits for it before calling serve_batch.)
   std::vector<memory::FunctionId> pins;
   const bool fabric_busy = fabric_free_ > engine_start;
-  if (fabric_busy && !config_.overlap_reconfig) return false;
   // The probe must also run when the fabric looks free but a pin is still
   // held: a previous batch's standing pin outlives its last fabric window
   // by one same-timestamp event (the unpin fires AT fabric_free_, and the

@@ -411,10 +411,10 @@ class CoprocessorServer {
   /// Plan the batch's shared engine window (leader decode + load) and its
   /// back-to-back fabric windows, and mutate the MCU accordingly.
   /// Returns false — nothing committed, every member stays queued — when
-  /// the fabric is busy and the leader may not take the engine yet
-  /// (overlap disabled, or its load cannot avoid the pinned frames); the
-  /// pump retries once the fabric frees, and can reorder around it.  A
-  /// member whose payload execute_invoke rejects fails alone (kBadInput).
+  /// the fabric is busy and the leader's load cannot avoid the pinned
+  /// frames; the pump retries once the fabric frees, and can reorder
+  /// around it.  A member whose payload execute_invoke rejects fails alone
+  /// (kBadInput).
   bool serve_batch(const std::vector<std::uint64_t>& batch);
   void begin_pci_out(std::uint64_t id);
   void complete(std::uint64_t id);

@@ -1,5 +1,7 @@
 #include "fabric/clbcodec.h"
 
+#include <utility>
+
 #include "common/bitops.h"
 
 namespace aad::fabric {
@@ -117,8 +119,8 @@ netlist::LutNetwork decode_frames(std::span<const std::vector<Word>> frames,
                                   std::size_t input_width,
                                   std::size_t output_width) {
   geometry.validate();
-  LutNetwork network(name, input_width, output_width);
   std::vector<LutSlot> all;
+  all.reserve(frames.size() * geometry.slots_per_frame());
   for (const auto& payload : frames) {
     AAD_REQUIRE(payload.size() == geometry.words_per_frame(),
                 "frame payload size mismatch");
@@ -141,7 +143,7 @@ netlist::LutNetwork decode_frames(std::span<const std::vector<Word>> frames,
     }
   }
   while (!all.empty() && slot_is_empty(all.back())) all.pop_back();
-  for (const LutSlot& slot : all) network.add_slot(slot);
+  LutNetwork network(name, input_width, output_width, std::move(all));
   network.validate();
   return network;
 }

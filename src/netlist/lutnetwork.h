@@ -57,10 +57,11 @@ class LutNetwork {
  public:
   LutNetwork() = default;
   LutNetwork(std::string name, std::size_t input_width,
-             std::size_t output_width)
+             std::size_t output_width, std::vector<LutSlot> slots = {})
       : name_(std::move(name)),
         input_width_(input_width),
-        output_width_(output_width) {}
+        output_width_(output_width),
+        slots_(std::move(slots)) {}
 
   const std::string& name() const noexcept { return name_; }
   std::size_t input_width() const noexcept { return input_width_; }

@@ -7,6 +7,7 @@
 #include "common/crc32.h"
 #include "common/error.h"
 #include "common/prng.h"
+#include "crc32_reference.h"
 
 namespace aad {
 namespace {
@@ -131,6 +132,35 @@ TEST(ByteBuffer, ReadPastEndThrowsCorruptData) {
   }
 }
 
+// Every multi-byte read checks its whole width before it moves: with any
+// shortfall it throws kCorruptData and leaves the cursor where it was.
+TEST(ByteBuffer, ShortWordReadsThrowAndKeepTheCursor) {
+  struct Case {
+    const char* name;
+    std::size_t width;
+    void (*read)(ByteReader&);
+  };
+  const Case cases[] = {
+      {"u16", 2, [](ByteReader& r) { r.u16(); }},
+      {"u32", 4, [](ByteReader& r) { r.u32(); }},
+      {"u64", 8, [](ByteReader& r) { r.u64(); }},
+  };
+  for (const Case& c : cases) {
+    for (std::size_t left = 0; left < c.width; ++left) {
+      const Bytes data(3 + left, 0xEE);
+      ByteReader r(data);
+      r.skip(3);
+      try {
+        c.read(r);
+        ADD_FAILURE() << c.name << " with " << left << " bytes left";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kCorruptData) << c.name;
+      }
+      EXPECT_EQ(r.offset(), 3u) << c.name << " left=" << left;
+    }
+  }
+}
+
 TEST(ByteBuffer, PatchU32) {
   ByteWriter w;
   w.u32(0);
@@ -177,6 +207,53 @@ TEST(Crc32Test, ResetRestoresSeed) {
   crc.update(Byte{0x42});
   crc.reset();
   EXPECT_EQ(crc.value(), Crc32::compute(ByteSpan{}));
+}
+
+// --- CRC-32 differential tests against tests/crc32_reference.h -------------
+
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Prng rng(seed);
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<Byte>(rng.next());
+  return out;
+}
+
+// Every length 0..257 at every start offset 0..7: covers the empty input,
+// every tail length of the 8-byte main loop, and every alignment of it.
+TEST(Crc32DifferentialTest, EveryLengthAtEveryOffset) {
+  const Bytes buf = random_bytes(257 + 7, 0xC4C32);
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const ByteSpan s(buf.data() + off, len);
+      ASSERT_EQ(Crc32::compute(s), reference_crc32(s))
+          << "offset " << off << " length " << len;
+    }
+}
+
+TEST(Crc32DifferentialTest, RandomBuffer64KiB) {
+  const Bytes buf = random_bytes(64 * 1024, 64);
+  EXPECT_EQ(Crc32::compute(buf), reference_crc32(buf));
+  EXPECT_EQ(bytewise_crc32(buf), reference_crc32(buf));
+}
+
+// A 100-byte message split at every position, one side fed as a span and
+// the other byte by byte (both orders), must give the one-shot value.
+TEST(Crc32DifferentialTest, IncrementalSplitAtEveryPosition) {
+  const Bytes msg = random_bytes(100, 100);
+  const std::uint32_t expect = reference_crc32(msg);
+  for (std::size_t k = 0; k <= msg.size(); ++k) {
+    const ByteSpan head(msg.data(), k);
+    const ByteSpan tail(msg.data() + k, msg.size() - k);
+    Crc32 span_first;
+    span_first.update(head);
+    for (const Byte b : tail) span_first.update(b);
+    EXPECT_EQ(span_first.value(), expect) << "split " << k;
+
+    Crc32 bytes_first;
+    for (const Byte b : head) bytes_first.update(b);
+    bytes_first.update(tail);
+    EXPECT_EQ(bytes_first.value(), expect) << "split " << k;
+  }
 }
 
 // --- PRNG ---------------------------------------------------------------------

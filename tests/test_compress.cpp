@@ -149,6 +149,44 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// Frame-delta's history cursor wraps once per frame; reads in chunks of 1,
+// 3, frame_bytes-1, frame_bytes and frame_bytes+1 land that wrap at every
+// phase of a chunk, and must reproduce the one-shot decode exactly.  RLE
+// (frame-delta's inner stream) gets the same chunk ladder.
+TEST(CodecStreaming, ChunkedReadsMatchOneShotDecode) {
+  for (const std::size_t frame_bytes : {std::size_t{40}, kFrameBytes}) {
+    Prng rng(frame_bytes);
+    Bytes frame(frame_bytes);
+    for (auto& x : frame) x = static_cast<Byte>(rng.next());
+    Bytes raw;
+    for (int f = 0; f < 7; ++f) {
+      for (int d = 0; d < 3; ++d)
+        frame[rng.next_below(frame.size())] ^= static_cast<Byte>(rng.next());
+      raw.insert(raw.end(), frame.begin(), frame.end());
+    }
+    raw.resize(raw.size() - frame_bytes / 3);  // end mid-frame
+
+    for (const CodecId id : {CodecId::kFrameDelta, CodecId::kRle}) {
+      const auto codec = make_codec(id, frame_bytes);
+      const Bytes compressed = codec->compress(raw);
+      const Bytes one_shot = codec->decompress(compressed);
+      ASSERT_EQ(one_shot, raw) << to_string(id);
+      for (const std::size_t chunk :
+           {std::size_t{1}, std::size_t{3}, frame_bytes - 1, frame_bytes,
+            frame_bytes + 1}) {
+        auto stream = codec->decompress_stream(compressed);
+        Bytes got;
+        Bytes buf(chunk);
+        while (const std::size_t n = stream->read(buf))
+          got.insert(got.end(), buf.begin(),
+                     buf.begin() + static_cast<std::ptrdiff_t>(n));
+        EXPECT_EQ(got, one_shot) << to_string(id) << " frame_bytes "
+                                 << frame_bytes << " chunk " << chunk;
+      }
+    }
+  }
+}
+
 // --- ratio properties -----------------------------------------------------------
 
 double ratio(CodecId id, const Bytes& raw) {

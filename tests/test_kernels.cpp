@@ -97,6 +97,25 @@ TEST(CatalogTest, FootprintsCreatePressureOnDefaultDevice) {
   EXPECT_GT(total, geometry.frame_count);
 }
 
+// FFT's `blocks` is log2 of the point count: 2^13 points (32 KiB in, 32 KiB
+// out) is the largest that fits the 64 KiB local RAM; anything larger, up to
+// shift widths that would be undefined, is rejected before it is built.
+TEST(CatalogTest, FftInputRejectsSizesBeyondLocalRam) {
+  const auto& fft = spec(KernelId::kFft);
+  EXPECT_EQ(fft.make_input(0, 1).size(), 4u * 8);
+  EXPECT_EQ(fft.make_input(13, 1).size(), 4u * 8192);
+  for (const std::size_t blocks : {std::size_t{14}, std::size_t{15},
+                                   std::size_t{63}, std::size_t{64},
+                                   std::size_t{1000}}) {
+    try {
+      fft.make_input(blocks, 1);
+      ADD_FAILURE() << "blocks " << blocks << " accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << blocks;
+    }
+  }
+}
+
 TEST(CatalogTest, UnknownIdThrows) {
   EXPECT_THROW(spec(static_cast<KernelId>(999)), Error);
 }
