@@ -122,11 +122,6 @@ core::ServerStats run_server(const core::ServerConfig& sc,
 core::ServerConfig batch_config(core::BatchMode mode) {
   core::ServerConfig sc;  // FIFO device policy + overlapped reconfiguration
   sc.batch = mode;
-  // `--prefetch on` / `--predictor <conf>` layer speculative prefetch onto
-  // every table; the default (off) regenerates the documented numbers.
-  const bench::PrefetchFlags pf = bench::prefetch_flags();
-  sc.prefetch.enabled = pf.enabled;
-  sc.prefetch.predictor.min_confidence = pf.min_confidence;
   return sc;
 }
 

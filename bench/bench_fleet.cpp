@@ -13,8 +13,7 @@
 //
 // Flags (bench_util.h parser): `--json results.json` captures the headline
 // metrics machine-readably; `--cards N` caps the F1 scaling sweep
-// (default 8); `--prefetch on` (+ optional `--predictor <conf>`) layers
-// speculative configuration prefetch onto every fleet.
+// (default 8).
 #include "bench_util.h"
 
 #include <vector>
@@ -49,11 +48,6 @@ core::FleetStats run_fleet(unsigned cards, core::DispatchPolicy policy,
   core::FleetConfig fc;
   fc.cards = cards;
   fc.policy = policy;
-  // `--prefetch on` / `--predictor <conf>` layer speculative prefetch onto
-  // every table; the default (off) regenerates the documented numbers.
-  const bench::PrefetchFlags pf = bench::prefetch_flags();
-  fc.server.prefetch.enabled = pf.enabled;
-  fc.server.prefetch.predictor.min_confidence = pf.min_confidence;
   core::CoprocessorFleet fleet(fc);
   if (auto* sink = bench::trace_sink())
     fleet.attach_trace(*sink, std::string("fleet cards=") +

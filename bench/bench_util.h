@@ -146,7 +146,6 @@ inline JsonResults& json() {
 ///
 ///   const long cards = aad::bench::flags().get_int("cards", 8);
 ///   const std::string policy = aad::bench::flags().get("policy", "all");
-///   if (aad::bench::flags().get_bool("overlap", true)) ...
 ///
 /// Unset flags fall back to the default, so a bare invocation regenerates
 /// the documented tables; `--json <path>` rides the same mechanism.
@@ -212,17 +211,6 @@ class Flags {
     if (end == it->second.c_str() || *end != '\0')
       die_bad_value(name, it->second, "a number");
     return value;
-  }
-
-  /// Accepts on/off, true/false, yes/no, 1/0; anything else is fatal.
-  bool get_bool(const std::string& name, bool fallback) const {
-    consumed_.insert(name);
-    const auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    const std::string& v = it->second;
-    if (v == "on" || v == "true" || v == "yes" || v == "1") return true;
-    if (v == "off" || v == "false" || v == "no" || v == "0") return false;
-    die_bad_value(name, v, "on/off");
   }
 
   /// Flags that were passed but never read by this bench — almost always a
@@ -293,28 +281,6 @@ inline std::optional<compress::CodecId> codec_flag() {
                  name.c_str());
     std::exit(2);
   }
-}
-
-/// Shared `--prefetch on|off` / `--predictor <min_confidence>` flags: the
-/// speculative-prefetch switch the prefetch-aware benches honor.  Kept as a
-/// plain struct (not core::PrefetchConfig) so this header stays
-/// dependency-light; benches copy the two fields into their ServerConfig.
-struct PrefetchFlags {
-  bool enabled = false;
-  double min_confidence = 0.55;
-};
-
-inline PrefetchFlags prefetch_flags(bool default_enabled = false,
-                                    double default_confidence = 0.55) {
-  PrefetchFlags pf;
-  pf.enabled = flags().get_bool("prefetch", default_enabled);
-  pf.min_confidence = flags().get_double("predictor", default_confidence);
-  if (pf.min_confidence < 0.0 || pf.min_confidence > 1.0) {
-    std::fprintf(stderr, "--predictor expects a confidence in [0,1], got %g\n",
-                 pf.min_confidence);
-    std::exit(2);
-  }
-  return pf;
 }
 
 }  // namespace aad::bench

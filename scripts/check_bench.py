@@ -54,8 +54,9 @@ def group_of(key):
     """Metric-group prefix: the first two '_'-separated tokens.
 
     The benches name metrics `<experiment>_<metric>_<cell>` (e.g.
-    fleet_hit_rate_cards4, prefetch_rps_bursty_on), so the first two tokens
-    identify the metric family the per-group summary lines report on.
+    fleet_hit_rate_cards4, overlap_makespan_ms_fifo_on), so the first two
+    tokens identify the metric family the per-group summary lines report
+    on.
     """
     parts = key.split("_")
     return "_".join(parts[:2]) if len(parts) > 1 else key

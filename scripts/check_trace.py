@@ -3,7 +3,7 @@
 
 The telemetry trace sink (src/telemetry/trace_sink.h) records lifecycle
 spans in sim-time — PCI transfers, bitstream decode/load, fabric execution
-windows, batch holds, prefetches, card deaths — and exports them as Chrome
+windows, batch holds, card deaths — and exports them as Chrome
 trace-event JSON that chrome://tracing and Perfetto open directly.  This
 gate runs in CI on a real bench run and fails when the export is
 malformed, so a refactor that breaks span bookkeeping (a lane emitting
@@ -23,8 +23,8 @@ Checks:
   * per track, timestamps are sorted (the sink writes the deterministic
     (ts, pid, tid, seq) merge order);
   * spans carry the args their category promises: pci/engine/fabric spans
-    name their request/client/function, prefetch and batch spans their
-    function, dispatch instants their fleet ticket (request) and
+    name their request/client/function, batch spans their function,
+    dispatch instants their fleet ticket (request) and
     client/function/card;
   * hardware lanes are serialized: on tracks named pci, engine or fabric
     the spans must not overlap, because each mirrors a resource the
@@ -51,7 +51,6 @@ REQUIRED_ARGS = {
     "pci": ("request", "client", "function"),
     "engine": ("request", "client", "function"),
     "fabric": ("request", "client", "function"),
-    "prefetch": ("function",),
     "batch": ("function",),
     "dispatch": ("request", "client", "function", "card"),
 }

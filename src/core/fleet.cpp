@@ -43,8 +43,7 @@ CoprocessorFleet::CoprocessorFleet(const FleetConfig& config)
       cost_routing_(config.cost_routing),
       faults_(config.faults),
       retry_(config.retry),
-      counters_{registry_.counter("fleet.prefetch_routed"),
-                registry_.counter("fleet.affinity_routed"),
+      counters_{registry_.counter("fleet.affinity_routed"),
                 registry_.counter("fleet.delta_routed"),
                 registry_.counter("fleet.affinity_fallback"),
                 registry_.counter("fleet.deaths"),
@@ -338,9 +337,7 @@ unsigned CoprocessorFleet::least_queued() const {
 }
 
 unsigned CoprocessorFleet::choose(memory::FunctionId function,
-                                  bool& prefetch_hit, bool& affinity_hit,
-                                  bool& delta_hit) const {
-  prefetch_hit = false;
+                                  bool& affinity_hit, bool& delta_hit) const {
   affinity_hit = false;
   delta_hit = false;
   switch (policy_) {
@@ -374,26 +371,6 @@ unsigned CoprocessorFleet::choose(memory::FunctionId function,
       }
       if (found) {
         affinity_hit = true;
-        return best;
-      }
-      // Second: a card that PREFETCHED this function and still holds the
-      // speculation unconsumed.  Stronger than mere residency — the frames
-      // were loaded FOR this demand, and consuming the speculation here
-      // both scores the guaranteed hit and frees the speculative marker
-      // (an unconsumed marker leaves the frames first in line for
-      // stealing).  Inert unless prefetch is enabled: no card holds a
-      // speculation then.
-      for (unsigned i = 0; i < card_count(); ++i) {
-        if (!shards_[i].alive) continue;
-        if (!shards_[i].server->prefetch_resident(function)) continue;
-        if (!found ||
-            shards_[i].server->in_flight() < shards_[best].server->in_flight()) {
-          best = i;
-          found = true;
-        }
-      }
-      if (found) {
-        prefetch_hit = true;
         return best;
       }
       // Otherwise, among the cards already holding the configuration — or
@@ -453,19 +430,17 @@ unsigned CoprocessorFleet::choose(memory::FunctionId function,
 }
 
 unsigned CoprocessorFleet::preview_card(memory::FunctionId function) const {
-  bool prefetch_hit = false, affinity_hit = false, delta_hit = false;
-  return choose(function, prefetch_hit, affinity_hit, delta_hit);
+  bool affinity_hit = false, delta_hit = false;
+  return choose(function, affinity_hit, delta_hit);
 }
 
 unsigned CoprocessorFleet::route(memory::FunctionId function) {
-  bool prefetch_hit = false, affinity_hit = false, delta_hit = false;
-  const unsigned card = choose(function, prefetch_hit, affinity_hit, delta_hit);
+  bool affinity_hit = false, delta_hit = false;
+  const unsigned card = choose(function, affinity_hit, delta_hit);
   if (policy_ == DispatchPolicy::kRoundRobin) {
     ++rr_cursor_;
   } else if (policy_ == DispatchPolicy::kResidencyAffinity) {
-    if (prefetch_hit)
-      counters_.prefetch_routed.add();
-    else if (affinity_hit)
+    if (affinity_hit)
       counters_.affinity_routed.add();
     else if (delta_hit)
       counters_.delta_routed.add();
@@ -507,7 +482,6 @@ std::uint64_t CoprocessorFleet::in_flight() const {
 
 FleetStats CoprocessorFleet::stats() const {
   FleetStats stats;
-  stats.prefetch_routed = counters_.prefetch_routed.value();
   stats.affinity_routed = counters_.affinity_routed.value();
   stats.delta_routed = counters_.delta_routed.value();
   stats.affinity_fallback = counters_.affinity_fallback.value();
@@ -564,10 +538,6 @@ FleetStats CoprocessorFleet::stats() const {
     stats.failed += card.server.failed;
     stats.crc_rejects += card.server.crc_rejects;
     stats.refetches += card.server.refetches;
-    stats.prefetch_issued += card.server.prefetch_issued;
-    stats.prefetch_hits += card.server.prefetch_hits;
-    stats.prefetch_wasted += card.server.prefetch_wasted;
-    stats.hidden_reconfig_prefetch += card.server.hidden_reconfig_prefetch;
     for (const auto& [codec, picks] : card.server.codec_picks)
       stats.codec_picks[codec] += picks;
     stats.cards.push_back(std::move(card));

@@ -164,10 +164,6 @@ struct FleetStats {
   std::uint64_t bytes_streamed = 0;
   std::map<compress::CodecId, std::uint64_t> codec_picks;
   /// Residency-affinity accounting (zero under the other policies):
-  std::uint64_t prefetch_routed = 0;    ///< sent to the card that PREFETCHED
-                                        ///< the config (tier between
-                                        ///< open-batch and resident; zero
-                                        ///< unless prefetch is enabled)
   std::uint64_t affinity_routed = 0;    ///< sent to a card holding the config
                                         ///< (resident, or inbound in flight)
   std::uint64_t delta_routed = 0;       ///< cheap-delta tier: sent to the
@@ -187,11 +183,6 @@ struct FleetStats {
   std::uint64_t failed = 0;
   std::uint64_t crc_rejects = 0;   ///< corrupted-bitstream load rejections
   std::uint64_t refetches = 0;     ///< ROM repairs from the pristine copy
-  // Speculative prefetch, fleet-wide (ServerStats sums; zero when off):
-  std::uint64_t prefetch_issued = 0;
-  std::uint64_t prefetch_hits = 0;
-  std::uint64_t prefetch_wasted = 0;
-  sim::SimTime hidden_reconfig_prefetch;
   std::vector<FleetCardStats> cards;    ///< per-card breakdown, by index
 };
 
@@ -333,8 +324,8 @@ class CoprocessorFleet {
   };
 
   unsigned least_queued() const;
-  unsigned choose(memory::FunctionId function, bool& prefetch_hit,
-                  bool& affinity_hit, bool& delta_hit) const;
+  unsigned choose(memory::FunctionId function, bool& affinity_hit,
+                  bool& delta_hit) const;
   /// preview_card + the state updates (cursor, affinity counters).
   unsigned route(memory::FunctionId function);
   bool any_alive() const;
@@ -369,7 +360,6 @@ class CoprocessorFleet {
   // Registry handles — the `fleet.*` counter block; FleetStats snapshots
   // them (registered at construction, bumped on the dispatch/fault paths).
   struct Counters {
-    telemetry::Counter& prefetch_routed;
     telemetry::Counter& affinity_routed;
     telemetry::Counter& delta_routed;
     telemetry::Counter& affinity_fallback;

@@ -67,13 +67,8 @@ CoprocessorServer::CoprocessorServer(AgileCoprocessor& card,
                 card.registry().counter("server.batches"),
                 card.registry().counter("server.coalesced_loads"),
                 card.registry().counter("server.amortized_reconfig_ps"),
-                card.registry().counter("server.prefetch_issued"),
-                card.registry().counter("server.prefetch_hits"),
-                card.registry().counter("server.prefetch_wasted"),
-                card.registry().counter("server.prefetch_hidden_ps"),
                 card.registry().gauge("server.device_queue_depth"),
-                card.registry().counter("stage.host-pci")},
-      predictor_(config.prefetch.predictor) {}
+                card.registry().counter("stage.host-pci")} {}
 
 void CoprocessorServer::attach_trace(telemetry::TraceSink& sink,
                                      const std::string& label,
@@ -212,12 +207,6 @@ CoprocessorServer::power_off() {
   hold_anchors_.clear();
   executing_.clear();
   pump_wake_.reset();
-  // Issued-but-unconsumed prefetches die with the fabric: wasted, like a
-  // steal.  The predictor itself is host-driver state and survives.
-  counters_.prefetch_wasted.add(prefetched_.size());
-  prefetched_.clear();
-  prefetch_queue_.clear();
-  prefetch_wake_.reset();
   engine_free_ = sim::SimTime::zero();
   fabric_free_ = sim::SimTime::zero();
   in_flight_ = 0;
@@ -402,11 +391,16 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
       p.request.load = mcu.load_invoke(p.request.function, load_start,
                                        &load_elapsed);
     } catch (const Error& error) {
-      if (error.code() != ErrorCode::kCorruptData) throw;
-      // Corrupted bitstream the MCU's re-fetch path could not repair: the
+      // Corrupted bitstream the MCU's re-fetch path could not repair, or a
+      // function this card's ROM was never provisioned with: either way the
       // fabric is untouched (decode-before-program), so nothing to unwind
       // on the device — the whole batch surfaces as failed right now.
-      fail_batch(batch, FailReason::kCrcReject);
+      if (error.code() == ErrorCode::kCorruptData)
+        fail_batch(batch, FailReason::kCrcReject);
+      else if (error.code() == ErrorCode::kNotFound)
+        fail_batch(batch, FailReason::kBadInput);
+      else
+        throw;
       return true;  // batch consumed: the pump must drop it from the queue
     }
   }
@@ -416,7 +410,6 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
   // routing on a function this card no longer holds or expects).
   const memory::FunctionId function = p.request.function;
   retire_inbound(function);
-  if (config_.prefetch.enabled) settle_prefetch(function, p.request.load.hit);
 
   p.request.prepare_time = p.request.decode_time + load_elapsed;
   const sim::SimTime engine_end = engine_start + p.request.prepare_time;
@@ -558,127 +551,7 @@ void CoprocessorServer::complete(std::uint64_t id) {
   --in_flight_;
   request.complete_time = now();
   completed_.push_back(request);
-  if (config_.prefetch.enabled && !completed_.back().failed) {
-    // Train on the completion stream (successes only) and queue the
-    // client's predicted next function for the idle-engine pump.  Before
-    // the hook: the completion precedes the client's next action.
-    const ServerRequest& r = completed_.back();
-    predictor_.observe(r.client, r.function);
-    if (const auto p = predictor_.predict(r.client))
-      queue_prefetch_at(now(), p->function);
-    // Candidates queued while demand was in flight (earlier predictions,
-    // or queue_prefetch_at calls) wait for the card to drain; this
-    // completion may have been the drain.
-    if (!prefetch_queue_.empty())
-      schedule_prefetch_pump(std::max(now(), device_available()));
-  }
   if (done) done(completed_.back());
-}
-
-void CoprocessorServer::queue_prefetch_at(sim::SimTime when,
-                                          memory::FunctionId function) {
-  if (!config_.prefetch.enabled) return;
-  AAD_REQUIRE(when >= now(), "cannot prefetch in the past");
-  if (prefetched_.contains(function)) return;  // warmed, awaiting demand
-  if (std::find(prefetch_queue_.begin(), prefetch_queue_.end(), function) ==
-      prefetch_queue_.end())
-    prefetch_queue_.push_back(function);
-  schedule_prefetch_pump(std::max(when, device_available()));
-}
-
-void CoprocessorServer::schedule_prefetch_pump(sim::SimTime when) {
-  if (prefetch_wake_ && *prefetch_wake_ <= when) return;  // already covered
-  prefetch_wake_ = when;
-  schedule(when, [this, when] {
-    if (prefetch_wake_ == when) prefetch_wake_.reset();
-    pump_prefetch();
-  });
-}
-
-void CoprocessorServer::pump_prefetch() {
-  if (prefetch_queue_.empty()) return;
-  // Demand work owns the engine — and a request still in PCI-in or decode
-  // will want it within the speculative load's own window, so the pump
-  // only runs on a fully idle card.  No re-arm here: every completion
-  // re-arms the pump while candidates are waiting (complete()).
-  if (in_flight_ > 0) return;
-  if (!device_queue_.empty()) return;
-  if (now() < device_available()) {
-    schedule_prefetch_pump(device_available());
-    return;
-  }
-
-  mcu::Mcu& mcu = card_.mcu();
-  while (!prefetch_queue_.empty()) {
-    const memory::FunctionId function = prefetch_queue_.front();
-    prefetch_queue_.erase(prefetch_queue_.begin());
-    if (mcu.is_resident(function) || inbound_.contains(function)) continue;
-    // The modeled delta/codec cost must exist (the function is provisioned
-    // and estimable); load_invoke below charges the REAL elapsed time.
-    const mcu::LoadEstimate est = mcu.estimate_load(function);
-    if (!est.known) continue;
-    // Evictions only out of the dead tail: a prefetch that would displace
-    // a live resident is a bad bet and is skipped outright.
-    if (est.evictions > 0 &&
-        !mcu.prefetch_feasible(function, now(),
-                               config_.prefetch.min_victim_idle,
-                               config_.prefetch.victim_idle_factor))
-      continue;
-    // Feasibility through the demand machinery: pin the executing AND
-    // inbound demand functions around the probe + load, exactly like an
-    // overlapped demand load — the speculation may evict idle residents
-    // (the replacement policy's victim), but never a function real work is
-    // running or about to hit.  The guard unwinds the pins with this
-    // scope — a speculative load never holds a standing pin, so it cannot
-    // delay real work either.
-    const sim::SimTime start = now();
-    std::erase_if(executing_, [start](const FabricCommitment& c) {
-      return c.end <= start;
-    });
-    std::vector<memory::FunctionId> pins;
-    for (const FabricCommitment& c : executing_)
-      if (std::find(pins.begin(), pins.end(), c.function) == pins.end())
-        pins.push_back(c.function);
-    for (const auto& [inbound_fn, refs] : inbound_)
-      if (mcu.is_resident(inbound_fn) &&
-          std::find(pins.begin(), pins.end(), inbound_fn) == pins.end())
-        pins.push_back(inbound_fn);
-    PinGuard guard(mcu, std::move(pins));
-    if (!mcu.load_feasible(function)) continue;
-    sim::SimTime elapsed;
-    try {
-      mcu.load_invoke(function, start, &elapsed);
-    } catch (const Error& error) {
-      if (error.code() != ErrorCode::kCorruptData) throw;
-      continue;  // speculation surfaces no failures; drop the guess
-    }
-    mcu.mark_speculative(function);
-    prefetched_.emplace(function, elapsed);
-    counters_.prefetch_issued.add();
-    if (engine_track_ != nullptr)
-      engine_track_->span("prefetch", "prefetch-load", start, start + elapsed,
-                          /*request=*/-1, /*client=*/-1, function);
-    engine_free_ = start + elapsed;
-    break;  // one speculative load per idle window
-  }
-  if (!prefetch_queue_.empty()) schedule_prefetch_pump(device_available());
-}
-
-void CoprocessorServer::settle_prefetch(memory::FunctionId function,
-                                        bool load_hit) {
-  const auto it = prefetched_.find(function);
-  if (it == prefetched_.end()) return;
-  if (load_hit) {
-    // The demand found the speculative resident in place: the engine time
-    // the prefetch paid is latency this requester never saw.
-    counters_.prefetch_hits.add();
-    counters_.hidden_prefetch.add_time(it->second);
-    card_.mcu().clear_speculative(function);
-  } else {
-    // Stolen before any demand arrived; the demand paid the full load.
-    counters_.prefetch_wasted.add();
-  }
-  prefetched_.erase(it);
 }
 
 std::size_t CoprocessorServer::run() { return card_.scheduler().run(); }
@@ -702,10 +575,6 @@ ServerStats CoprocessorServer::stats() const {
   stats.codec_picks = device.codec_picks;
   stats.crc_rejects = device.crc_rejects;
   stats.refetches = device.refetches;
-  stats.prefetch_issued = counters_.prefetch_issued.value();
-  stats.prefetch_hits = counters_.prefetch_hits.value();
-  stats.prefetch_wasted = counters_.prefetch_wasted.value();
-  stats.hidden_reconfig_prefetch = counters_.hidden_prefetch.time();
 
   // Latency/throughput/wait statistics cover SUCCESSFUL requests only;
   // failed records are done (their hooks fired) but have no meaningful

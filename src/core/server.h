@@ -39,7 +39,8 @@
 //
 // A request whose payload the kernel rejects (or that overflows the card's
 // local RAM) fails alone with FailReason::kBadInput; its batch-mates and
-// every other request run on.
+// every other request run on.  A request for a function the card's ROM was
+// never provisioned with fails the same way, with its batch.
 //
 // stats() reports per-request latency percentiles, throughput, and the wait
 // attribution split into bus/engine/fabric, plus the total reconfiguration
@@ -70,7 +71,6 @@
 
 #include "core/coprocessor.h"
 #include "core/device_scheduler.h"
-#include "core/predictor.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace_sink.h"
 
@@ -82,7 +82,8 @@ enum class FailReason : std::uint8_t {
   kCardDeath,   ///< the card powered off with the request on it, no survivor
   kTimeout,     ///< the fleet's watchdog expired and retries were exhausted
   kCrcReject,   ///< corrupted bitstream: load rejected even after re-fetch
-  kBadInput,    ///< the kernel rejected the payload, or it overflowed RAM
+  kBadInput,    ///< the kernel rejected the payload, it overflowed RAM, or
+                ///< the function is not provisioned in the card's ROM
 };
 
 /// One completed (or in-flight) request, with its full time breakdown.
@@ -191,45 +192,12 @@ struct ServerStats {
   std::uint64_t frames_skipped_delta = 0;
   std::uint64_t bytes_streamed = 0;
   std::map<compress::CodecId, std::uint64_t> codec_picks;
-  // Speculative prefetch (PrefetchConfig).  All zero with prefetch off.
-  std::uint64_t prefetch_issued = 0;  ///< speculative loads the pump streamed
-  std::uint64_t prefetch_hits = 0;    ///< consumed by a later demand request
-  /// Prefetched frames a demand miss stole (or death wiped) before any
-  /// demand for the function arrived — the mispredict cost, which is only
-  /// idle engine time and cold frames.  issued - hits - wasted prefetches
-  /// are still resident awaiting a demand.
-  std::uint64_t prefetch_wasted = 0;
-  /// Reconfiguration time paid speculatively in idle engine cycles and then
-  /// consumed by a demand hit: latency the requester never saw.
-  sim::SimTime hidden_reconfig_prefetch;
 };
 
 /// Per-server policy knobs.  The defaults (FIFO + overlap) serve requests
 /// in data-arrival order while hiding reconfigurations behind execution;
 /// {kFifo, overlap_reconfig = false} reproduces the pre-split
 /// single-resource device stage bit-exactly (the regression tests pin this).
-/// Speculative configuration prefetch (core/predictor.h).  When the card is
-/// fully idle, the server consults a per-client Markov predictor trained on
-/// its completion stream and speculatively streams the predicted next
-/// configuration into free frames or frames of dead-looking residents
-/// (never a live one — Mcu::prefetch_feasible gates that).  A speculative
-/// load never holds a standing pin, and the MCU's eviction loop steals
-/// speculative frames FIRST the instant a demand miss needs them, so a
-/// prefetch can never delay real work.  Default off: the server is
-/// bit-exact with the prefetch-free pipeline.
-struct PrefetchConfig {
-  bool enabled = false;
-  PredictorConfig predictor;
-  /// A speculative load may claim free frames, other speculative frames,
-  /// and frames of DEAD-looking demand residents — never a live one
-  /// (evicting one trades a probable future hit for a predicted one).
-  /// Dead = idle longer than both this floor and `victim_idle_factor`
-  /// times the resident's own mean inter-access gap; see
-  /// Mcu::prefetch_feasible.
-  sim::SimTime min_victim_idle = sim::SimTime::ms(1);
-  double victim_idle_factor = 2.0;
-};
-
 struct ServerConfig {
   DevicePolicy device_policy = DevicePolicy::kFifo;
   /// Stream a queued request's configuration while the fabric executes
@@ -239,8 +207,6 @@ struct ServerConfig {
   /// Same-function request coalescing.  The default (kNone) serves every
   /// request as a batch of one, bit-exact with the unbatched server.
   BatchMode batch = BatchMode::kNone;
-  /// Speculative next-function prefetch (default off).
-  PrefetchConfig prefetch;
 };
 
 class CoprocessorServer {
@@ -303,25 +269,6 @@ class CoprocessorServer {
   /// under BatchMode::kNone.
   bool open_batch_for(memory::FunctionId function) const {
     return hold_anchors_.contains(function);
-  }
-  /// Did this card prefetch `function` and still hold it, unconsumed?  The
-  /// fleet's router prefers such a card over a merely-resident one (the
-  /// prefetch was made FOR the predicted demand; consuming it elsewhere
-  /// wastes the speculative work).
-  bool prefetch_resident(memory::FunctionId function) const {
-    return prefetched_.contains(function) &&
-           card_.mcu().is_resident(function);
-  }
-  /// Ask this card to speculatively warm `function` at absolute time
-  /// `when` (>= now) — the entry the card's own predictor feeds at each
-  /// completion, also open to tests and callers that warm a card by hand.
-  /// The request joins the local candidate queue and obeys the pump's
-  /// rules: idle engine only, free frames only, no pin held.  No-op when
-  /// prefetch is disabled.
-  void queue_prefetch_at(sim::SimTime when, memory::FunctionId function);
-  /// Candidates + issued-but-unconsumed prefetches (tests/benches).
-  std::size_t prefetch_outstanding() const noexcept {
-    return prefetch_queue_.size() + prefetched_.size();
   }
   const std::vector<ServerRequest>& completed() const noexcept {
     return completed_;
@@ -414,7 +361,9 @@ class CoprocessorServer {
   /// the fabric is busy and the leader's load cannot avoid the pinned
   /// frames; the pump retries once the fabric frees, and can reorder
   /// around it.  A member whose payload execute_invoke rejects fails alone
-  /// (kBadInput).
+  /// (kBadInput); a load the ROM cannot serve fails the whole batch
+  /// (kCrcReject for a corrupted bitstream, kBadInput for an unprovisioned
+  /// function).
   bool serve_batch(const std::vector<std::uint64_t>& batch);
   void begin_pci_out(std::uint64_t id);
   void complete(std::uint64_t id);
@@ -429,15 +378,6 @@ class CoprocessorServer {
   /// everything this server has in flight without touching other users of
   /// the (possibly shared) scheduler.
   sim::EventId schedule(sim::SimTime when, std::function<void()> action);
-  /// Ensure a pump_prefetch wake-up fires no later than `when`.
-  void schedule_prefetch_pump(sim::SimTime when);
-  /// Speculatively load the best actionable candidate if the engine is idle
-  /// and no demand work is pending.
-  void pump_prefetch();
-  /// Demand-side prefetch accounting: a demand load for a prefetched
-  /// function either consumes the speculation (hit) or finds its frames
-  /// already stolen (wasted).
-  void settle_prefetch(memory::FunctionId function, bool load_hit);
 
   AgileCoprocessor& card_;
   ServerConfig config_;
@@ -473,10 +413,6 @@ class CoprocessorServer {
     telemetry::Counter& batches;
     telemetry::Counter& coalesced_loads;
     telemetry::Counter& amortized_reconfig;  ///< picoseconds
-    telemetry::Counter& prefetch_issued;
-    telemetry::Counter& prefetch_hits;
-    telemetry::Counter& prefetch_wasted;
-    telemetry::Counter& hidden_prefetch;     ///< picoseconds
     telemetry::Gauge& queue_depth;  ///< device queue level + high water
     telemetry::Counter& host_pci;   ///< the card's stage.host-pci total
   };
@@ -487,16 +423,6 @@ class CoprocessorServer {
   telemetry::TraceTrack* engine_track_ = nullptr;
   telemetry::TraceTrack* fabric_track_ = nullptr;
   telemetry::TraceTrack* batch_track_ = nullptr;
-  // Speculative prefetch (PrefetchConfig; all dormant when disabled).
-  /// Per-client next-function Markov table, trained in complete().  Host
-  /// driver state: it survives card death (power_off), like the ROM map.
-  FunctionPredictor predictor_;
-  /// Predicted functions awaiting an idle engine, FIFO, unique.
-  std::vector<memory::FunctionId> prefetch_queue_;
-  /// Issued speculative loads not yet consumed by a demand, with the
-  /// engine occupancy each one paid (the latency a demand hit hides).
-  std::map<memory::FunctionId, sim::SimTime> prefetched_;
-  std::optional<sim::SimTime> prefetch_wake_;  ///< pending pump wake-up
 };
 
 }  // namespace aad::core

@@ -53,9 +53,9 @@ class FreeFrameList {
       unsigned count, AllocationStrategy strategy);
 
   /// Where WOULD allocate() place `count` frames right now?  Pure selection
-  /// without reserving anything — the load-cost estimator's placement
-  /// predictor.  allocate() is exactly peek() + claim(), so prediction and
-  /// execution can never diverge.
+  /// without reserving anything — what the load-cost estimator places a
+  /// miss with.  allocate() is exactly peek() + claim(), so the estimate
+  /// and the real load can never place differently.
   std::optional<std::vector<fabric::FrameIndex>> peek(
       unsigned count, AllocationStrategy strategy) const;
 

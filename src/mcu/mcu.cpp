@@ -194,11 +194,6 @@ void Mcu::unpin(memory::FunctionId id) {
   if (--it->second == 0) pinned_.erase(it);
 }
 
-void Mcu::mark_speculative(memory::FunctionId id) {
-  AAD_REQUIRE(loaded_.contains(id), "marking a non-resident function");
-  speculative_.insert(id);
-}
-
 bool Mcu::load_feasible(memory::FunctionId id) const {
   if (loaded_.contains(id)) return true;  // hit: no frames touched
   const auto record = rom_.lookup(id);
@@ -215,42 +210,6 @@ bool Mcu::load_feasible(memory::FunctionId id) const {
   return placement_possible(record->frames, config_.allocation, blocked);
 }
 
-bool Mcu::prefetch_feasible(memory::FunctionId id, sim::SimTime now,
-                            sim::SimTime min_idle, double idle_factor) const {
-  if (loaded_.contains(id)) return true;  // hit: no frames touched
-  const auto record = rom_.lookup(id);
-  if (!record) return false;  // speculating on an unprovisioned id: drop it
-  // Like load_feasible's limit state, but only speculative residents and
-  // dead-looking demand residents count as evictable; pinned functions and
-  // live residents keep their frames blocked.
-  std::vector<bool> blocked(free_list_.frame_count(), false);
-  for (const auto& [fn, entry] : loaded_) {
-    bool evictable = false;
-    if (!pinned_.contains(fn)) {
-      if (speculative_.contains(fn)) {
-        evictable = true;
-      } else if (const auto t = table_.find(fn); t != table_.end()) {
-        const FrameTableEntry& frt = t->second;
-        const sim::SimTime idle = now - frt.last_access;
-        sim::SimTime threshold = min_idle;
-        if (frt.access_count > 1) {
-          const double mean_gap_ps =
-              static_cast<double>((frt.last_access - frt.loaded_at)
-                                      .picoseconds()) /
-              static_cast<double>(frt.access_count - 1);
-          const auto scaled = sim::SimTime::ps(
-              static_cast<std::int64_t>(mean_gap_ps * idle_factor));
-          if (scaled > threshold) threshold = scaled;
-        }
-        evictable = idle >= threshold;
-      }
-    }
-    if (evictable) continue;
-    for (const fabric::FrameIndex frame : entry.frames) blocked[frame] = true;
-  }
-  return placement_possible(record->frames, config_.allocation, blocked);
-}
-
 sim::SimTime Mcu::evict_cost(memory::FunctionId id) {
   const auto it = loaded_.find(id);
   AAD_CHECK(it != loaded_.end(), "evicting a non-resident function");
@@ -258,7 +217,6 @@ sim::SimTime Mcu::evict_cost(memory::FunctionId id) {
   policy_->on_evict(id);
   table_.erase(id);
   loaded_.erase(it);
-  speculative_.erase(id);
   counters_.evictions.add();
   return firmware_cost(config_.eviction_overhead_cycles);
 }
@@ -328,7 +286,6 @@ void Mcu::reset_fabric() {
   loaded_.clear();
   table_.clear();
   pinned_.clear();
-  speculative_.clear();
   free_list_.reset();
   fabric_.erase();
   engine_.reset_tracking();  // the frame table no longer matches the fabric
@@ -516,23 +473,7 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
                      "(fragmentation-free allocation impossible)"
                    : "cannot place function: every resident function is "
                      "pinned (caller should have checked load_feasible)");
-    // A demand miss steals speculative (prefetched, never demanded) frames
-    // before any demand-loaded resident is considered — a wrong guess must
-    // never cost real work a better victim.  Lowest id wins for
-    // determinism; resident_functions() iterates in ascending id order.
-    memory::FunctionId victim = 0;
-    bool stole_speculative = false;
-    if (!speculative_.empty()) {
-      for (const memory::FunctionId fn : resident) {
-        if (speculative_.contains(fn)) {
-          victim = fn;
-          stole_speculative = true;
-          break;
-        }
-      }
-    }
-    if (!stole_speculative) victim = policy_->choose_victim(resident, table_);
-    t += evict_cost(victim);
+    t += evict_cost(policy_->choose_victim(resident, table_));
     ++result.evictions;
   }
 

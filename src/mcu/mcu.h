@@ -17,7 +17,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "fabric/fabric.h"
@@ -232,22 +231,6 @@ class Mcu {
     return it != pinned_.end() ? it->second : 0u;
   }
 
-  /// Tag a resident function as speculatively loaded (a prefetch, not yet
-  /// demanded).  Speculative residents are NOT pinned — the opposite: the
-  /// eviction loop prefers them as victims, so a demand miss steals their
-  /// frames before touching any demand-loaded resident.  The tag clears on
-  /// eviction and device reset; the driver clears it explicitly when a
-  /// demand hit consumes the prefetch.
-  void mark_speculative(memory::FunctionId id);
-  /// Drop the speculative tag (no-op when absent).
-  void clear_speculative(memory::FunctionId id) { speculative_.erase(id); }
-  bool is_speculative(memory::FunctionId id) const {
-    return speculative_.contains(id);
-  }
-  std::size_t speculative_count() const noexcept {
-    return speculative_.size();
-  }
-
   /// Could load_invoke(id) complete right now without evicting a pinned
   /// function?  True on a hit; on a miss, checks the limit state in which
   /// every non-pinned resident is evicted — if the allocation strategy
@@ -255,21 +238,6 @@ class Mcu {
   /// device), an overlapped load is illegal and the caller must serialize
   /// behind the fabric.  Pure query: no simulated time, no state change.
   bool load_feasible(memory::FunctionId id) const;
-
-  /// Could a SPECULATIVE load of `id` be satisfied from free frames,
-  /// other speculative residents, and demand residents that look DEAD?
-  /// Stricter than load_feasible: a prefetch that would have to evict a
-  /// live resident is a bad bet — it trades a probable future hit for a
-  /// predicted one — and the pump skips it.  A resident counts as dead
-  /// once its idle time exceeds both `min_idle` and `idle_factor` times
-  /// its own mean inter-access gap (from the Frame Replacement Table), so
-  /// a function touched every 100us dies in hundreds of microseconds while
-  /// a slow 3ms cycle stays protected for multiples of that.  (LRU
-  /// eviction consumes most-idle victims first, so when this probe passes
-  /// the subsequent load evicts only the dead tail; fragmentation can in
-  /// rare cases force one extra victim.)  Pure query.
-  bool prefetch_feasible(memory::FunctionId id, sim::SimTime now,
-                         sim::SimTime min_idle, double idle_factor) const;
 
   /// The load-cost model (see LoadEstimate).  Resident functions cost
   /// zero; a miss is modeled from its placement prediction — including the
@@ -372,9 +340,6 @@ class Mcu {
   /// Pin reference counts; a function present here (count >= 1) is
   /// excluded from eviction.
   std::map<memory::FunctionId, unsigned> pinned_;
-  /// Residents loaded speculatively (prefetch) and not yet demanded:
-  /// preferred eviction victims — a demand miss steals their frames first.
-  std::set<memory::FunctionId> speculative_;
   /// Per-window content hashes of every stored function's raw payload —
   /// host-driver metadata (no ROM bytes), matched against the engine's
   /// frame table to predict delta skips before streaming anything.

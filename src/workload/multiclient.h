@@ -137,21 +137,18 @@ struct IncrementalConfig {
 /// Deterministic in `config.seed`; each client gets an independent stream.
 MultiClientTrace make_incremental(const IncrementalConfig& config);
 
-/// Phase-shifting traffic: the workload speculative prefetch feeds on — and
-/// residency affinity alone does not.
+/// Phase-shifting traffic: working sets that drift, which residency
+/// affinity alone cannot follow.
 ///
 /// Each client walks a sliding WINDOW over the function bank: within a
-/// phase it cycles its window round-robin (so "after f comes g" is a
-/// perfect first-order Markov signal), and every `requests_per_phase`
+/// phase it cycles its window round-robin, and every `requests_per_phase`
 /// requests the window SLIDES by `phase_stride` functions.  The functions a
 /// phase introduces have never been routed anywhere — residency affinity
-/// has no card to prefer and eats a cold miss per new function — but a
-/// predictor that has learned the cycle knows the next function the moment
-/// the previous one completes, and a prefetch hides the load in the idle
-/// window.  Clients start at staggered offsets so their working sets
+/// has no card to prefer and eats a cold miss per new function, loaded on
+/// demand.  Clients start at staggered offsets so their working sets
 /// overlap only partially, defeating the "one hot card holds everything"
 /// degenerate case.  `wander` adds uniform noise draws that break the
-/// cycle, dialing the predictor's attainable confidence down from 1.
+/// cycle.
 struct PhasedConfig {
   unsigned clients = 4;
   std::size_t phases = 4;              ///< phases per client

@@ -61,12 +61,6 @@ struct HarnessConfig {
   sim::SimTime timeout;
   unsigned max_retries = 2;
 
-  // Speculative prefetch (core::PrefetchConfig).  Off by default so every
-  // pre-existing sweep is unchanged; the prefetch sweeps turn it on to
-  // prove speculative pins unwind like demand pins across deaths.
-  bool prefetch = false;
-  double prefetch_confidence = 0.35;
-
   // Workload (bursty open-loop traffic over the full kernel bank).
   unsigned clients = 6;
   std::size_t bursts = 3;
@@ -200,8 +194,6 @@ class InvariantHarness {
     fc.faults = plan;
     fc.retry.timeout = config.timeout;
     fc.retry.max_retries = config.max_retries;
-    fc.server.prefetch.enabled = config.prefetch;
-    fc.server.prefetch.predictor.min_confidence = config.prefetch_confidence;
     return fc;
   }
 

@@ -54,11 +54,6 @@ harness::HarnessConfig sweep_config(std::uint64_t seed, unsigned slot) {
   hc.device = (slot % 2) ? DevicePolicy::kResidentFirst : DevicePolicy::kFifo;
   hc.delta_reconfig = (slot % 2) == 1;
   hc.timeout = (slot % 3 == 0) ? sim::SimTime::us(800) : sim::SimTime::zero();
-  // Speculative prefetch rides along on a co-prime cadence (slots 2-3 of
-  // every 4) so the sweep crosses it with every other axis: the invariants
-  // must hold when a card dies mid-prefetch, and speculative pins must
-  // unwind exactly like demand pins.
-  hc.prefetch = (slot % 4) >= 2;
   // Compress the fault horizon into the traffic window so deaths land while
   // requests are actually in flight.
   hc.death_rate_per_ms = 0.3;
@@ -101,50 +96,6 @@ TEST(InvariantSweepTest, CleanAcrossSeedsAndPolicies) {
 
 TEST(InvariantSweepTest, SameSeedSameDigest) {
   const harness::HarnessConfig hc = sweep_config(424242, 3);
-  harness::InvariantHarness a(hc);
-  harness::InvariantHarness b(hc);
-  a.run();
-  b.run();
-  EXPECT_TRUE(a.check().empty());
-  EXPECT_EQ(a.digest(), b.digest());
-}
-
-// Heavier prefetch pressure than the rotating sweep: every seed runs with
-// the predictor on at low confidence (many speculative loads) under the
-// same compressed death plans.  A card dying mid-prefetch must not break
-// conservation or leak the transient pins the pump holds during its
-// feasibility probe + load.
-TEST(InvariantSweepTest, CleanWithPrefetchUnderFaults) {
-  const unsigned seeds = harness::invariant_seed_count();
-  for (unsigned s = 0; s < seeds; ++s) {
-    harness::HarnessConfig hc = sweep_config(3000 + s, s);
-    hc.prefetch = true;
-    hc.prefetch_confidence = 0.3;
-    harness::InvariantHarness h(hc);
-    h.run();
-    for (const std::string& v : h.check())
-      ADD_FAILURE() << "prefetch seed " << hc.seed << ": " << v;
-    // Speculative ledger closes: every issued prefetch was consumed by a
-    // demand hit, stolen/wiped (wasted), or is still resident awaiting one
-    // (a subset of prefetch_outstanding, which also counts unissued
-    // candidates).
-    for (unsigned i = 0; i < h.fleet().card_count(); ++i) {
-      const ServerStats stats = h.fleet().server(i).stats();
-      EXPECT_GE(stats.prefetch_issued,
-                stats.prefetch_hits + stats.prefetch_wasted)
-          << "seed " << hc.seed << " card " << i;
-      EXPECT_LE(
-          stats.prefetch_issued - stats.prefetch_hits - stats.prefetch_wasted,
-          h.fleet().server(i).prefetch_outstanding())
-          << "seed " << hc.seed << " card " << i;
-    }
-  }
-}
-
-TEST(InvariantSweepTest, PrefetchSameSeedSameDigest) {
-  harness::HarnessConfig hc = sweep_config(424243, 2);
-  hc.prefetch = true;
-  hc.prefetch_confidence = 0.3;
   harness::InvariantHarness a(hc);
   harness::InvariantHarness b(hc);
   a.run();
@@ -482,6 +433,56 @@ TEST(BadInputTest, MalformedPayloadFailsOnlyItsOwnRequest) {
                [&](const ServerRequest& r) { next_output = r.output; });
   fleet.run();
   EXPECT_EQ(next_output, algorithms::spec(KernelId::kSha256).software(next));
+  EXPECT_EQ(fleet.in_flight(), 0u);
+}
+
+// A request for a function the card's ROM was never provisioned with fails
+// alone with kBadInput; the requests around it complete and the fleet keeps
+// serving.
+TEST(BadInputTest, UnprovisionedFunctionFailsOnlyItsOwnRequest) {
+  FleetConfig fc;
+  fc.cards = 2;
+  CoprocessorFleet fleet(fc);
+  using algorithms::KernelId;
+  fleet.download(KernelId::kAes128);
+
+  const std::vector<KernelId> kernels = {KernelId::kAes128, KernelId::kSha256,
+                                         KernelId::kAes128};
+  std::vector<Bytes> inputs;
+  for (unsigned i = 0; i < kernels.size(); ++i)
+    inputs.push_back(algorithms::spec(kernels[i]).make_input(2, i + 1));
+  std::vector<unsigned> fired(kernels.size(), 0);
+  std::vector<ServerRequest> done(kernels.size());
+  for (unsigned i = 0; i < kernels.size(); ++i)
+    fleet.submit(i, kernels[i], inputs[i], [&, i](const ServerRequest& r) {
+      ++fired[i];
+      done[i] = r;
+    });
+  fleet.run();
+
+  for (unsigned i = 0; i < kernels.size(); ++i)
+    EXPECT_EQ(fired[i], 1u) << "request " << i;
+  EXPECT_TRUE(done[1].failed);
+  EXPECT_EQ(done[1].fail_reason, FailReason::kBadInput);
+  EXPECT_TRUE(done[1].output.empty());
+  for (const unsigned i : {0u, 2u}) {
+    EXPECT_FALSE(done[i].failed) << "request " << i;
+    EXPECT_EQ(done[i].output,
+              algorithms::spec(kernels[i]).software(inputs[i]))
+        << "request " << i;
+  }
+  EXPECT_EQ(fleet.in_flight(), 0u);
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.failed, 1u);
+
+  // The fleet stays usable: a follow-on request completes normally.
+  const Bytes next = algorithms::spec(KernelId::kAes128).make_input(1, 4);
+  Bytes next_output;
+  fleet.submit(9, KernelId::kAes128, next,
+               [&](const ServerRequest& r) { next_output = r.output; });
+  fleet.run();
+  EXPECT_EQ(next_output, algorithms::spec(KernelId::kAes128).software(next));
   EXPECT_EQ(fleet.in_flight(), 0u);
 }
 
